@@ -1,11 +1,14 @@
-"""IO transports: POSIX, MPI-IO baseline, Adaptive IO, Stagger."""
+"""IO transports: the static methods (POSIX, MPI-IO baseline, split files,
+stagger) and Adaptive IO."""
 
 from repro.core.transports.base import OutputResult, Transport, WriterTiming
-from repro.core.transports.posix import PosixTransport
-from repro.core.transports.mpiio import MpiIoTransport
+from repro.core.transports.static import (
+    MpiIoTransport,
+    PosixTransport,
+    SplitFilesTransport,
+    StaggerTransport,
+)
 from repro.core.transports.adaptive import AdaptiveTransport
-from repro.core.transports.stagger import StaggerTransport
-from repro.core.transports.splitfiles import SplitFilesTransport
 from repro.core.transports.history import (
     HistoryAwareAdaptiveTransport,
     PerformanceHistory,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.errors import OstFailedError
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,12 +108,17 @@ class BackgroundWriterJob:
         return len(self.source_nodes)
 
     def _writer(self, ost: int, node: int):
-        env = self.machine.env
         fabric = self.machine.fs.fabric
         while not self._stop:
-            yield fabric.start_flow(
-                node, ost, self.write_size, tenant=self.tenant
-            )
+            try:
+                yield fabric.start_flow(
+                    node, ost, self.write_size, tenant=self.tenant
+                )
+            except OstFailedError:
+                # The program's write to a dead target returns an
+                # error and the process exits; the job's other writers
+                # carry on.
+                return
             self.bytes_written += self.write_size
             self.iterations += 1
 

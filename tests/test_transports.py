@@ -10,6 +10,7 @@ from repro.core.transports import (
     AdaptiveTransport,
     MpiIoTransport,
     PosixTransport,
+    SplitFilesTransport,
     StaggerTransport,
 )
 from repro.errors import ConfigurationError
@@ -38,6 +39,7 @@ ALL_TRANSPORTS = [
     MpiIoTransport(),
     AdaptiveTransport(),
     StaggerTransport(),
+    SplitFilesTransport(),
 ]
 
 
