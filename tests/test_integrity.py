@@ -8,6 +8,8 @@ corruption with checksums on, no false positives ever) — and honest
 (checksum-free output sets report unverified, not valid).
 """
 
+import json
+
 import pytest
 
 from repro.apps import AppKernel, Variable
@@ -415,14 +417,22 @@ class TestFsckCli:
         ])
         assert rc == 0
 
-    def test_stagger_refuses_non_corruption_plan(self, tmp_path):
+    def test_stagger_fail_stop_audited_as_partial(self, tmp_path):
+        """Stagger fails fast under a fail-stop like the other static
+        transports, so fsck audits its partial output instead of
+        refusing the plan."""
         from repro.tools.fsck import main
 
         plan = tmp_path / "plan.json"
+        report = tmp_path / "out.json"
         FaultPlan(events=(
-            FaultEvent(time=1.0, kind="ost_fail", target=0),
+            FaultEvent(time=0.01, kind="ost_fail", target=0),
         )).save_json(str(plan))
         rc = main(self.ARGS + [
             "--transport", "stagger", "--faults", str(plan),
+            "--json", str(report),
         ])
-        assert rc == 2
+        assert rc == 0
+        out = json.loads(report.read_text())
+        assert not out["completed"]
+        assert "write failure(s)" in out["transport_error"]
