@@ -127,6 +127,18 @@ class OutputResult:
             )
 
 
+def _targets(n_osts_used: Optional[int], machine: "Machine") -> int:
+    """Storage targets a run writes to: ``n_osts_used``, by default the
+    whole pool, checked against the pool and capped at the rank count
+    (a target no rank writes to would stay empty)."""
+    n_osts = n_osts_used or machine.n_osts
+    if not 1 <= n_osts <= machine.n_osts:
+        raise ValueError(
+            f"n_osts_used {n_osts} out of range for pool of {machine.n_osts}"
+        )
+    return min(n_osts, machine.n_ranks)
+
+
 @dataclass
 class TransportRun:
     """A launched-but-not-collected output operation.

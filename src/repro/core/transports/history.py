@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 import numpy as np
 
 from repro.core.transports.adaptive import AdaptiveTransport
-from repro.core.transports.base import OutputResult
+from repro.core.transports.base import OutputResult, _targets
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.base import AppKernel
@@ -171,8 +171,7 @@ class HistoryAwareAdaptiveTransport(AdaptiveTransport):
         app: "AppKernel",
         output_name: str = "output",
     ) -> OutputResult:
-        n_groups = self.n_osts_used or min(machine.n_osts, machine.n_ranks)
-        n_groups = min(n_groups, machine.n_ranks)
+        n_groups = _targets(self.n_osts_used, machine)
         if self.history is None:
             self.history = PerformanceHistory(
                 n_groups, alpha=self.history_alpha

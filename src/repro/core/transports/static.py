@@ -39,6 +39,7 @@ from repro.core.transports.base import (
     Transport,
     TransportRun,
     WriterTiming,
+    _targets,
 )
 from repro.errors import OstFailedError, TransportError, WriteTimeout
 
@@ -331,14 +332,6 @@ class _StaticTransport(Transport):
         )
 
 
-def _targets(n_osts: int, machine: "Machine") -> int:
-    if not 1 <= n_osts <= machine.n_osts:
-        raise ValueError(
-            f"n_osts_used {n_osts} out of range for pool of {machine.n_osts}"
-        )
-    return n_osts
-
-
 def _back_to_back(groups: GroupMap, chunk: float) -> list:
     """Places with each group's ranks packed, in rank order, in its file."""
     return [(g, slot * chunk, g) for g in range(groups.n_groups)
@@ -376,7 +369,7 @@ class PosixTransport(_StaticTransport):
     build_index: bool = False
 
     def _plan(self, machine, app, output_name):
-        n_osts = _targets(self.n_osts_used or machine.n_osts, machine)
+        n_osts = _targets(self.n_osts_used, machine)
         fs = machine.fs
         paths = [f"/{output_name}/rank{r:06d}.dat"
                  for r in range(machine.n_ranks)]
@@ -558,9 +551,7 @@ class StaggerTransport(_StaticTransport):
 
     def _plan(self, machine, app, output_name):
         n_ranks = machine.n_ranks
-        n_groups = min(_targets(
-            self.n_osts_used or min(machine.n_osts, n_ranks), machine
-        ), n_ranks)
+        n_groups = _targets(self.n_osts_used, machine)
         groups = GroupMap(n_ranks, n_groups)
         places = _back_to_back(groups, app.per_process_bytes)
         fs = machine.fs
