@@ -192,8 +192,9 @@ class CoordBatch:
     (e.g. a steered write's WriteComplete relay plus the ScComplete it
     unlocks) and ships them as one message.  The coordinator unwraps
     ``payloads`` in order through the same dispatch path as loose
-    messages, so steering decisions are unchanged — only the number of
-    simulated sends differs.
+    messages, one per scheduling round (the round a loose message
+    waiting in its inbox costs), so steering decisions and their tie
+    order are unchanged — only the number of simulated sends differs.
     """
 
     payloads: tuple  # tuple of coordinator-bound message dataclasses
