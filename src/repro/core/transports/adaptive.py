@@ -374,8 +374,21 @@ class AdaptiveTransport(Transport):
     so simulator cost scales with groups and OSTs rather than writers
     and writes.  ``tests/test_adaptive_batched.py`` pins its outputs to
     fixtures generated by a one-process-per-writer implementation of
-    the same protocol.  A run with a fault plan uses the per-rank,
-    fault-hardened protocol instead (:meth:`_launch_faulted`).
+    the same protocol.
+
+    A run with a fault plan plays the groups with per-rank,
+    fault-hardened roles instead: one process per writer (retry,
+    read-back verify), per sub-coordinator (sub-file relocation) and
+    per heartbeat sender, plus a liveness monitor that adopts a silent
+    sub-coordinator's group.  Its timing differs from the cohort's:
+    an SC signals its next member only when the previous member's
+    completion has reached it, so members write with two control hops
+    and an index build between them.
+    ``tests/test_adaptive_faulted_golden.py`` pins its outputs.
+
+    Both kinds of run share the coordinator (Algorithm 3), the
+    sub-file index epilogue, the global-index write, the flush/close
+    tail and the result assembly (see :meth:`launch`).
 
     Parameters
     ----------
@@ -436,16 +449,53 @@ class AdaptiveTransport(Transport):
         app: "AppKernel",
         output_name: str = "output",
     ) -> TransportRun:
-        if machine.faults is not None:
-            return self._launch_faulted(machine, app, output_name)
+        """Start one output; the group roles depend on ``machine.faults``.
+
+        Without a fault plan each group is one cohort process
+        (:class:`_GroupStream` moves its data).  With a plan the groups
+        run the per-rank protocol, hardened:
+
+        * every data write carries a timeout; a timed-out writer backs
+          off (capped exponential) and retries up to the policy budget
+          before abandoning with ``WriteFailed``;
+        * each group's sub-file is an *incarnation* ``(group, epoch)``.
+          A failure against the current epoch makes the SC relocate to
+          a fresh file on a healthy OST, bump the epoch, and re-signal
+          everything it was hosting in one recovery burst (after a
+          failure, minimizing time-at-risk beats pacing).  Messages
+          about older epochs are stale: completions/failures from
+          ranks nobody is re-hosting get a recovery signal, the rest
+          are dropped;
+        * the coordinator poisons steering targets that report
+          failures, tracks SC liveness via heartbeats, and adopts a
+          silent SC's group on its own rank under
+          ``TAG_ADOPTED_BASE + group``;
+        * the run is bounded by ``policy.run_timeout``.  However it
+          ends, per-rank durability is accounted from the landing sets
+          of the *current* incarnations; an unclean run raises
+          :class:`~repro.errors.TransportError` carrying
+          ``bytes_durable`` / ``bytes_lost`` and the partial result
+          instead of hanging or silently under-reporting.
+
+        Both share the coordinator (Algorithm 3), the sub-file index
+        epilogue, the global-index write, the flush/close tail and the
+        result assembly; the fault branches of each are inert on a
+        clean run.
+        """
         env = machine.env
         fs = machine.fs
         self._watch_fabric(machine)
+        faults = machine.faults
+        policy = faults.policy if faults is not None else None
+        # Only a fault plan bounds the index and flush waits.
+        write_timeout = policy.write_timeout if policy is not None else None
+        flush_timeout = policy.flush_timeout if policy is not None else None
         n_ranks = machine.n_ranks
         tenant = getattr(machine, "tenant", -1)
         n_groups = _targets(self.n_osts_used, machine)
         groups = self._make_group_map(n_ranks, n_groups)
         comm = SimComm(env, n_ranks, latency=machine.spec.latency)
+        comm.faults = faults
         nbytes = app.per_process_bytes
         index_nbytes = float(
             sum(e.serialized_bytes for e in app.index_entries(0, 0.0))
@@ -460,43 +510,122 @@ class AdaptiveTransport(Transport):
 
         tracer = env.tracer
         traced = tracer is not None and tracer.enabled
+        # sc_rank/sc_tag are mutable: adoption redirects a group's SC
+        # endpoint, and writers resolve the address at send time.
         sc_rank = [groups.sub_coordinator_of(g) for g in range(n_groups)]
+        sc_tag = [TAG_SC] * n_groups
         coord = groups.coordinator
-        files: Dict[int, object] = {}  # group -> SimFile
+
+        files: Dict[int, object] = {}  # group -> current incarnation
+        files_at: Dict[tuple, object] = {}  # (group, epoch) -> SimFile
+        paths_at: Dict[tuple, str] = {}
+        epoch_of = [0] * n_groups
         timings: List[Optional[WriterTiming]] = [None] * n_ranks
-        stats = {"adaptive_writes": 0, "busy_bounces": 0}
+        stats = {
+            "adaptive_writes": 0,
+            "busy_bounces": 0,
+            "retries": 0,
+            "aborts": 0,
+            "relocations": 0,
+            "adoptions": 0,
+            "verify_failures": 0,
+        }
         phase: Dict[str, float] = {}
         global_index = GlobalIndex()
         global_index_path = f"/{output_name}.bp.dir/index.bp"
 
-        # -- trace helpers -------------------------------------------------
-        def _emit_plan_instants(g: int, members) -> None:
-            """The group's write plan, announced at files-ready (T0)."""
-            if not traced:
-                return
-            for k, w in enumerate(members):
-                tracer.instant(
-                    "WRITE_START", cat="steer", pid="adaptive",
-                    tid=f"sc {g}",
-                    args={"writer": w, "target_group": g,
-                          "offset": float(k * nbytes)},
-                )
+        # Landing sets of the *current* incarnation of every group —
+        # the ground truth for durability accounting after a faulted run.
+        done_sets: Dict[int, set] = {g: set() for g in range(n_groups)}
+        flush_failures: List[str] = []
+        index_failures: List[int] = []
+        run_flags = {"timed_out": False, "stop": False}
 
-        def _emit_steal_instant(g, w, target, offset) -> None:
+        files_ready = env.event()
+        all_created = [0]
+
+        def alive(ranks):
+            return [r for r in ranks if r not in faults.crashed_ranks]
+
+        # -- steering trace instants ---------------------------------------
+        def _epoch(epoch: int) -> dict:
+            """A faulted run labels steering instants with the epoch."""
+            return {} if faults is None else {"epoch": epoch}
+
+        def _write_start_instant(g, w, target, offset, **fault_args) -> None:
             if traced:
                 tracer.instant(
                     "WRITE_START", cat="steer", pid="adaptive",
                     tid=f"sc {g}",
                     args={"writer": w, "target_group": target,
-                          "offset": float(offset), "adaptive": True},
+                          "offset": float(offset), **fault_args},
                 )
 
-        def _emit_busy_instant(g, target) -> None:
+        def _instant(name, tid, cat="steer", **args) -> None:
             if traced:
-                tracer.instant(
-                    "WRITERS_BUSY", cat="steer", pid="adaptive",
-                    tid=f"sc {g}", args={"target_group": target},
+                tracer.instant(name, cat=cat, pid="adaptive", tid=tid,
+                               args=args)
+
+        # -- sub-files -----------------------------------------------------
+        def open_incarnation(g: int, epoch: int):
+            """Create group ``g``'s sub-file for ``epoch`` on a healthy
+            target; returns ``(file, path)``."""
+            suffix = f".e{epoch}" if epoch else ""
+            path = f"/{output_name}.bp.dir/{g:04d}{suffix}.bp"
+            ost = fs.allocate_healthy_osts(1)[0]
+            f = yield from fs.create(path, osts=[ost], stripe_size=1e15)
+            files[g] = f
+            files_at[(g, epoch)] = f
+            paths_at[(g, epoch)] = path
+            return f, path
+
+        def file_created() -> None:
+            """One more group's sub-file exists; the last one opens the
+            write phase."""
+            all_created[0] += 1
+            if all_created[0] == n_groups:
+                phase["open_end"] = env.now
+                files_ready.succeed()
+
+        def write_sc_index(g: int, me: int, f, path: str, local_index):
+            """Merge/write the sub-file's index and ship it to C."""
+            entries = local_index.finalize()
+            local_index.check_no_overlap()
+            try:
+                yield from fs.write(
+                    f,
+                    node=machine.node_of(me),
+                    offset=f.size,
+                    nbytes=local_index.serialized_bytes,
+                    writer=me,
+                    payload=("local_index", entries),
+                    timeout=write_timeout,
+                    tenant=tenant,
                 )
+            except (OstFailedError, WriteTimeout) as exc:
+                index_failures.append(g)
+                _instant("index.abort", f"sc {g}", cat="fault",
+                         error=str(exc))
+            comm.send(
+                me,
+                coord,
+                ScIndex(g, path, entries, local_index.serialized_bytes),
+                tag=TAG_COORD,
+                nbytes=local_index.serialized_bytes,
+            )
+
+        def group_proc(g: int):
+            """Open the group's sub-file, wait for every group's, then
+            play the group's role: its cohort, or under a fault plan its
+            hardened sub-coordinator."""
+            me = sc_rank[g]
+            f, path = yield from open_incarnation(g, 0)
+            file_created()
+            yield files_ready
+            if faults is None:
+                yield from cohort_body(g, me, f, path)
+            else:
+                yield from sc_body(g, me, TAG_SC, 0, path, f, burst=False)
 
         # ---------------- Steered write (Algorithm 1's adaptive half) -----
         def steered_proc(rank: int, g: int, target: int, offset: float):
@@ -585,18 +714,7 @@ class AdaptiveTransport(Transport):
         # completions and index bodies) via a pump, and pokes — through
         # one mailbox.  Coordinator-bound bursts coalesce into
         # CoordBatch.
-        def cohort_proc(g: int, files_ready, all_created):
-            me = sc_rank[g]
-            path = f"/{output_name}.bp.dir/{g:04d}.bp"
-            ost = fs.allocate_osts(1)[0]
-            f = yield from fs.create(path, osts=[ost], stripe_size=1e15)
-            files[g] = f
-            all_created[0] += 1
-            if all_created[0] == n_groups:
-                phase["open_end"] = env.now
-                files_ready.succeed()
-            yield files_ready
-
+        def cohort_body(g: int, me: int, f, path: str):
             members = groups.ranks_in(g)
             n_members = len(members)
             local_index = LocalIndex(path)
@@ -656,7 +774,7 @@ class AdaptiveTransport(Transport):
                     )
 
             stream = _GroupStream(
-                env, fs, f, ost, g,
+                env, fs, f, f.layout.osts[0], g,
                 src_node=machine.node_of(me),
                 members=members,
                 nbytes=nbytes,
@@ -669,7 +787,10 @@ class AdaptiveTransport(Transport):
                 notify=on_member,
                 lanes=self.writers_per_target,
             )
-            _emit_plan_instants(g, members)
+            # The group's write plan, announced at files-ready (T0).
+            if traced:
+                for k, w in enumerate(members):
+                    _write_start_instant(g, w, g, k * nbytes)
             env.schedule_callback(hop + build, stream.begin)
 
             def pump():
@@ -711,7 +832,8 @@ class AdaptiveTransport(Transport):
                     elif isinstance(p, AdaptiveWriteStart):
                         if not stream.has_stealable:
                             stats["busy_bounces"] += 1
-                            _emit_busy_instant(g, p.target_group)
+                            _instant("WRITERS_BUSY", f"sc {g}",
+                                     target_group=p.target_group)
                             out_coord.append(
                                 WritersBusy(g, p.target_group, p.offset)
                             )
@@ -722,8 +844,9 @@ class AdaptiveTransport(Transport):
                             w = stream.truncate_tail(
                                 p.target_group, p.offset
                             )
-                            _emit_steal_instant(
-                                g, w, p.target_group, p.offset
+                            _write_start_instant(
+                                g, w, p.target_group, p.offset,
+                                adaptive=True,
                             )
                     elif isinstance(p, OverallWriteComplete):
                         state["owc"] = True
@@ -734,319 +857,12 @@ class AdaptiveTransport(Transport):
             pump_p.kill("cohort finished")
             if env.now < state["last_arrival"]:
                 yield env.timeout(state["last_arrival"] - env.now)
-            # Merge/write the file index and ship it to C.
-            entries = local_index.finalize()
-            local_index.check_no_overlap()
-            yield from fs.write(
-                f,
-                node=machine.node_of(me),
-                offset=f.size,
-                nbytes=local_index.serialized_bytes,
-                writer=me,
-                payload=("local_index", entries),
-                tenant=tenant,
-            )
-            comm.send(
-                me,
-                coord,
-                ScIndex(g, path, entries, local_index.serialized_bytes),
-                tag=TAG_COORD,
-                nbytes=local_index.serialized_bytes,
-            )
-
-        # ---------------- Coordinator role (Algorithm 3) -------------------
-        def coord_proc(files_ready):
-            yield files_ready
-            state = {g: _WRITING for g in range(n_groups)}
-            cursor: Dict[int, float] = {}
-            in_flight: Dict[int, bool] = {}
-            outstanding = 0
-            rr = [0]  # round-robin cursor over writing SCs
-
-            def next_writing_sc(exclude: int) -> Optional[int]:
-                for step in range(n_groups):
-                    g = (rr[0] + step) % n_groups
-                    if g != exclude and state[g] == _WRITING:
-                        rr[0] = (g + 1) % n_groups
-                        return g
-                return None
-
-            def try_schedule(target: int) -> None:
-                nonlocal outstanding
-                if not self.steering:
-                    return
-                if in_flight.get(target):
-                    return
-                if not self._steer_target_ok(target):
-                    return
-                g = next_writing_sc(exclude=target)
-                if g is None:
-                    return
-                if traced:
-                    target_file = files.get(target)
-                    tracer.instant(
-                        "ADAPTIVE_WRITE_START", cat="steer",
-                        pid="adaptive", tid="coordinator",
-                        args={
-                            "target_group": target,
-                            "target_ost": (
-                                int(target_file.layout.osts[0])
-                                if target_file is not None else -1
-                            ),
-                            "steer_from_group": g,
-                            "offset": float(cursor[target]),
-                        },
-                    )
-                comm.send(
-                    coord,
-                    sc_rank[g],
-                    AdaptiveWriteStart(target, cursor[target]),
-                    tag=TAG_SC,
-                )
-                in_flight[target] = True
-                outstanding += 1
-
-            def finished() -> bool:
-                return (
-                    all(s == _COMPLETE for s in state.values())
-                    and outstanding == 0
-                )
-
-            def dispatch(p) -> None:
-                nonlocal outstanding
-                if isinstance(p, WriteComplete):
-                    if not p.adaptive:  # pragma: no cover - defensive
-                        raise ProtocolError(
-                            "C received non-adaptive WriteComplete"
-                        )
-                    stats["adaptive_writes"] += 1
-                    outstanding -= 1
-                    in_flight[p.target_group] = False
-                    cursor[p.target_group] += p.nbytes
-                    try_schedule(p.target_group)
-                elif isinstance(p, ScComplete):
-                    state[p.source_group] = _COMPLETE
-                    cursor[p.source_group] = p.final_offset
-                    if traced:
-                        tracer.instant(
-                            "SC_COMPLETE", cat="steer",
-                            pid="adaptive", tid="coordinator",
-                            args={"group": p.source_group,
-                                  "final_offset": float(p.final_offset)},
-                        )
-                    try_schedule(p.source_group)
-                elif isinstance(p, WritersBusy):
-                    # Guard a protocol race: the offer may have crossed
-                    # the SC's own ScComplete in flight — never
-                    # downgrade a complete SC.
-                    if state[p.source_group] == _WRITING:
-                        state[p.source_group] = _BUSY
-                    outstanding -= 1
-                    in_flight[p.target_group] = False
-                    try_schedule(p.target_group)
-                else:  # pragma: no cover - defensive
-                    raise ProtocolError(f"C: unexpected {p!r}")
-
-            while not finished():
-                msg = yield comm.recv(coord, tag=TAG_COORD)
-                p = msg.payload
-                if isinstance(p, CoordBatch):
-                    # Coalesced same-instant burst from a cohort: the
-                    # payloads run through dispatch in send order, one
-                    # per scheduling round — the round a loose message
-                    # waiting in the inbox costs — so same-instant
-                    # events elsewhere interleave with the burst as
-                    # they would with one message per payload.
-                    for i, q in enumerate(p.payloads):
-                        if i:
-                            yield env.timeout(0.0)
-                        dispatch(q)
-                else:
-                    dispatch(p)
-
-            for g in range(n_groups):
-                comm.send(
-                    coord, sc_rank[g], OverallWriteComplete(), tag=TAG_SC
-                )
-            # Gather index pieces, merge into the global index, write
-            # the global index file.
-            for _ in range(n_groups):
-                msg = yield comm.recv(coord, tag=TAG_COORD)
-                p = msg.payload
-                if not isinstance(p, ScIndex):  # pragma: no cover
-                    raise ProtocolError(f"C: expected ScIndex, got {p!r}")
-                global_index.add_file(p.file_path, p.entries)
-            gi_file = yield from fs.create(
-                global_index_path, osts=[fs.allocate_osts(1)[0]]
-            )
-            yield from fs.write(
-                gi_file,
-                node=machine.node_of(coord),
-                offset=0,
-                nbytes=global_index.serialized_bytes,
-                writer=coord,
-                payload=("global_index", global_index),
-                tenant=tenant,
-            )
-            files[-1] = gi_file
-            phase["write_end"] = env.now
-
-        # ---------------- Orchestration ------------------------------------
-        def main():
-            t0 = env.now
-            files_ready = env.event()
-            all_created = [0]
-            procs = [
-                env.process(
-                    cohort_proc(g, files_ready, all_created),
-                    name=f"adaptive.sc.{g}",
-                )
-                for g in range(n_groups)
-            ]
-            procs.append(
-                env.process(coord_proc(files_ready), name="adaptive.coord")
-            )
-            yield env.all_of(procs)
-            # Explicit flush of every file before close (paper's
-            # measurement protocol), all in parallel.
-            fstart = env.now
-            flushes = [
-                env.process(fs.flush(f), name="adaptive.flush")
-                for f in files.values()
-            ]
-            yield env.all_of(flushes)
-            phase["flush_end"] = env.now
-            for f in files.values():
-                yield from fs.close(f)
-            phase["close_end"] = env.now
-            phase["flush_start"] = fstart
-            return t0
-
-        done = env.process(main(), name="adaptive.main")
-
-        def collect() -> OutputResult:
-            t0 = done.value
-
-            result = OutputResult(
-                transport=self.name,
-                n_writers=n_ranks,
-                total_bytes=nbytes * n_ranks,
-                open_time=phase["open_end"] - t0,
-                write_time=phase["write_end"] - phase["open_end"],
-                flush_time=phase["flush_end"] - phase["flush_start"],
-                close_time=phase["close_end"] - phase["flush_end"],
-                per_writer=[t for t in timings if t is not None],
-                files=sorted(
-                    f"/{output_name}.bp.dir/{g:04d}.bp"
-                    for g in range(n_groups)
-                )
-                + [global_index_path],
-                index=global_index,
-                n_adaptive_writes=stats["adaptive_writes"],
-                messages_sent=comm.messages_sent,
-                coordinator_messages=comm.messages_by_rank.get(coord, 0),
-                extra={
-                    "n_groups": float(n_groups),
-                    "busy_bounces": float(stats["busy_bounces"]),
-                },
-            )
-            return self._finish(machine, result)
-
-        return TransportRun(done=done, collect=collect)
-
-    # -- the fault-hardened run --------------------------------------------
-    def _launch_faulted(
-        self,
-        machine: "Machine",
-        app: "AppKernel",
-        output_name: str = "output",
-    ) -> TransportRun:
-        """Fault-tolerant variant of :meth:`launch` (``machine.faults`` set).
-
-        Same protocol, hardened:
-
-        * every data write carries a timeout; a timed-out writer backs
-          off (capped exponential) and retries up to the policy budget
-          before abandoning with ``WriteFailed``;
-        * each group's sub-file is an *incarnation* ``(group, epoch)``.
-          A failure against the current epoch makes the SC relocate to
-          a fresh file on a healthy OST, bump the epoch, and re-signal
-          everything it was hosting in one recovery burst (after a
-          failure, minimizing time-at-risk beats pacing).  Messages
-          about older epochs are stale: completions/failures from
-          ranks nobody is re-hosting get a recovery signal, the rest
-          are dropped;
-        * the coordinator poisons steering targets that report
-          failures, tracks SC liveness via heartbeats, and adopts a
-          silent SC's group on its own rank under
-          ``TAG_ADOPTED_BASE + group``;
-        * the run is bounded by ``policy.run_timeout``.  However it
-          ends, per-rank durability is accounted from the landing sets
-          of the *current* incarnations; an unclean run raises
-          :class:`~repro.errors.TransportError` carrying
-          ``bytes_durable`` / ``bytes_lost`` and the partial result
-          instead of hanging or silently under-reporting.
-        """
-        env = machine.env
-        fs = machine.fs
-        self._watch_fabric(machine)
-        faults = machine.faults
-        policy = faults.policy
-        n_ranks = machine.n_ranks
-        tenant = getattr(machine, "tenant", -1)
-        n_groups = _targets(self.n_osts_used, machine)
-        groups = self._make_group_map(n_ranks, n_groups)
-        comm = SimComm(env, n_ranks, latency=machine.spec.latency)
-        comm.faults = faults
-        nbytes = app.per_process_bytes
-        index_nbytes = float(
-            sum(e.serialized_bytes for e in app.index_entries(0, 0.0))
-        )
-
-        tracer = env.tracer
-        traced = tracer is not None and tracer.enabled
-        # sc_rank/sc_tag are mutable: adoption redirects a group's SC
-        # endpoint, and writers resolve the address at send time.
-        sc_rank = [groups.sub_coordinator_of(g) for g in range(n_groups)]
-        sc_tag = [TAG_SC] * n_groups
-        coord = groups.coordinator
-        group_of = [groups.group_of(r) for r in range(n_ranks)]
-
-        files: Dict[int, object] = {}  # group -> current incarnation
-        files_at: Dict[tuple, object] = {}  # (group, epoch) -> SimFile
-        paths_at: Dict[tuple, str] = {}
-        epoch_of = [0] * n_groups
-        timings: List[Optional[WriterTiming]] = [None] * n_ranks
-        stats = {
-            "adaptive_writes": 0,
-            "busy_bounces": 0,
-            "retries": 0,
-            "aborts": 0,
-            "relocations": 0,
-            "adoptions": 0,
-            "verify_failures": 0,
-        }
-        phase: Dict[str, float] = {}
-        global_index = GlobalIndex()
-        global_index_path = f"/{output_name}.bp.dir/index.bp"
-
-        # Landing sets of the *current* incarnation of every group —
-        # the ground truth for durability accounting after the run.
-        done_sets: Dict[int, set] = {g: set() for g in range(n_groups)}
-        flush_failures: List[str] = []
-        index_failures: List[int] = []
-        run_flags = {"timed_out": False, "stop": False}
-
-        files_ready = env.event()
-        all_created = [0]
-
-        def alive(ranks):
-            return [r for r in ranks if r not in faults.crashed_ranks]
+            yield from write_sc_index(g, me, f, path, local_index)
 
         # ---------------- Writer role (hardened Algorithm 1) --------------
-        def writer_proc(rank: int, files_ready):
+        def writer_proc(rank: int):
             yield files_ready
-            g = group_of[rank]
+            g = groups.group_of(rank)
             node = machine.node_of(rank)
             wpid, wtid = f"node/{node}", f"rank {rank}"
             built_index = False
@@ -1259,14 +1075,8 @@ class AdaptiveTransport(Transport):
 
             def signal(w: int, recovery: bool) -> None:
                 nonlocal cursor
-                if traced:
-                    tracer.instant(
-                        "WRITE_START", cat="steer", pid="adaptive",
-                        tid=f"sc {g}",
-                        args={"writer": w, "target_group": g,
-                              "offset": float(cursor), "epoch": epoch,
-                              "recovery": recovery},
-                    )
+                _write_start_instant(g, w, g, cursor, epoch=epoch,
+                                     recovery=recovery)
                 comm.send(
                     me, w,
                     WriteStart(g, cursor, adaptive=(w not in member_set),
@@ -1320,19 +1130,9 @@ class AdaptiveTransport(Transport):
                 # Members whose bytes live on another group keep their
                 # completion; everything landed *here* must be redone.
                 member_done.difference_update(old_done)
-                path = f"/{output_name}.bp.dir/{g:04d}.e{epoch}.bp"
-                ost = fs.allocate_healthy_osts(1)[0]
-                f = yield from fs.create(path, osts=[ost], stripe_size=1e15)
-                files[g] = f
-                files_at[(g, epoch)] = f
-                paths_at[(g, epoch)] = path
-                if traced:
-                    tracer.instant(
-                        "SC_RELOCATE", cat="fault", pid="adaptive",
-                        tid=f"sc {g}",
-                        args={"epoch": epoch, "ost": int(ost),
-                              "reason": reason},
-                    )
+                f, path = yield from open_incarnation(g, epoch)
+                _instant("SC_RELOCATE", f"sc {g}", cat="fault", epoch=epoch,
+                         ost=int(f.layout.osts[0]), reason=reason)
                 foreign = (old_done - member_set) | foreign_pending
                 if reporter not in member_set:
                     foreign.add(reporter)
@@ -1394,12 +1194,8 @@ class AdaptiveTransport(Transport):
                             # group is unrecoverable.  Keep draining
                             # messages; the run-timeout backstop ends
                             # the run with loss accounting.
-                            if traced:
-                                tracer.instant(
-                                    "SC_STRANDED", cat="fault",
-                                    pid="adaptive", tid=f"sc {g}",
-                                    args={"epoch": epoch},
-                                )
+                            _instant("SC_STRANDED", f"sc {g}", cat="fault",
+                                     epoch=epoch)
                     elif p.target_group == g and orphaned(p.source_rank):
                         foreign_pending.add(p.source_rank)
                         signal(p.source_rank, recovery=True)
@@ -1415,12 +1211,8 @@ class AdaptiveTransport(Transport):
                 elif isinstance(p, AdaptiveWriteStart):
                     if not waiting:
                         stats["busy_bounces"] += 1
-                        if traced:
-                            tracer.instant(
-                                "WRITERS_BUSY", cat="steer",
-                                pid="adaptive", tid=f"sc {g}",
-                                args={"target_group": p.target_group},
-                            )
+                        _instant("WRITERS_BUSY", f"sc {g}",
+                                 target_group=p.target_group)
                         comm.send(
                             me,
                             coord,
@@ -1430,16 +1222,8 @@ class AdaptiveTransport(Transport):
                     else:
                         w = waiting.pop()
                         steered_away.add(w)
-                        if traced:
-                            tracer.instant(
-                                "WRITE_START", cat="steer",
-                                pid="adaptive", tid=f"sc {g}",
-                                args={"writer": w,
-                                      "target_group": p.target_group,
-                                      "offset": float(p.offset),
-                                      "adaptive": True,
-                                      "epoch": p.epoch},
-                            )
+                        _write_start_instant(g, w, p.target_group, p.offset,
+                                             adaptive=True, epoch=p.epoch)
                         comm.send(
                             me,
                             w,
@@ -1452,70 +1236,21 @@ class AdaptiveTransport(Transport):
                 else:  # pragma: no cover - defensive
                     raise ProtocolError(f"SC {g}: unexpected {p!r}")
 
-            entries = local_index.finalize()
-            local_index.check_no_overlap()
-            try:
-                yield from fs.write(
-                    f,
-                    node=machine.node_of(me),
-                    offset=f.size,
-                    nbytes=local_index.serialized_bytes,
-                    writer=me,
-                    payload=("local_index", entries),
-                    timeout=policy.write_timeout,
-                    tenant=tenant,
-                )
-            except (OstFailedError, WriteTimeout) as exc:
-                index_failures.append(g)
-                if traced:
-                    tracer.instant(
-                        "index.abort", cat="fault", pid="adaptive",
-                        tid=f"sc {g}", args={"error": str(exc)},
-                    )
-            comm.send(
-                me,
-                coord,
-                ScIndex(g, path, entries, local_index.serialized_bytes),
-                tag=TAG_COORD,
-                nbytes=local_index.serialized_bytes,
-            )
-
-        def sc_proc(g: int, files_ready, all_created):
-            me = sc_rank[g]
-            path = f"/{output_name}.bp.dir/{g:04d}.bp"
-            ost = fs.allocate_healthy_osts(1)[0]
-            f = yield from fs.create(path, osts=[ost], stripe_size=1e15)
-            files[g] = f
-            files_at[(g, 0)] = f
-            paths_at[(g, 0)] = path
-            all_created[0] += 1
-            if all_created[0] == n_groups:
-                phase["open_end"] = env.now
-                files_ready.succeed()
-            yield files_ready
-            yield from sc_body(g, me, TAG_SC, 0, path, f, burst=False)
+            yield from write_sc_index(g, me, f, path, local_index)
 
         def adopted_sc_proc(g: int):
             epoch = epoch_of[g]
-            path = f"/{output_name}.bp.dir/{g:04d}.e{epoch}.bp"
-            ost = fs.allocate_healthy_osts(1)[0]
-            f = yield from fs.create(path, osts=[ost], stripe_size=1e15)
-            files[g] = f
-            files_at[(g, epoch)] = f
-            paths_at[(g, epoch)] = path
+            f, path = yield from open_incarnation(g, epoch)
             if (g, 0) not in files_at:
                 # The dead SC never even created its file: fill its seat
                 # in the open barrier so writers are not stuck forever.
-                all_created[0] += 1
-                if all_created[0] == n_groups:
-                    phase["open_end"] = env.now
-                    files_ready.succeed()
+                file_created()
             if not files_ready.triggered:
                 yield files_ready
             yield from sc_body(g, coord, TAG_ADOPTED_BASE + g, epoch, path,
                                f, burst=True)
 
-        # ---------------- Coordinator role (hardened) ----------------------
+        # ---------------- Coordinator role (Algorithm 3) -------------------
         # State is hoisted so the SC-liveness monitor (same rank) shares it.
         state: Dict[int, str] = {}
         cursor: Dict[int, float] = {}
@@ -1528,13 +1263,13 @@ class AdaptiveTransport(Transport):
         adopted_procs: List = []
         coord_flags = {"outstanding": 0, "overall_sent": False}
 
-        def coord_proc(files_ready):
+        def coord_proc():
             yield files_ready
             for g in range(n_groups):
                 state[g] = _WRITING
                 target_epoch[g] = 0
                 last_seen[g] = env.now
-            rr = [0]
+            rr = [0]  # round-robin cursor over writing SCs
 
             def next_writing_sc(exclude: int) -> Optional[int]:
                 for step in range(n_groups):
@@ -1556,27 +1291,24 @@ class AdaptiveTransport(Transport):
                 g = next_writing_sc(exclude=target)
                 if g is None:
                     return
+                epoch = target_epoch.get(target, 0)
                 if traced:
                     target_file = files.get(target)
-                    tracer.instant(
-                        "ADAPTIVE_WRITE_START", cat="steer",
-                        pid="adaptive", tid="coordinator",
-                        args={
-                            "target_group": target,
-                            "target_ost": (
-                                int(target_file.layout.osts[0])
-                                if target_file is not None else -1
-                            ),
-                            "steer_from_group": g,
-                            "offset": float(cursor[target]),
-                            "epoch": target_epoch.get(target, 0),
-                        },
+                    _instant(
+                        "ADAPTIVE_WRITE_START", "coordinator",
+                        target_group=target,
+                        target_ost=(
+                            int(target_file.layout.osts[0])
+                            if target_file is not None else -1
+                        ),
+                        steer_from_group=g,
+                        offset=float(cursor[target]),
+                        **_epoch(epoch),
                     )
                 comm.send(
                     coord,
                     sc_rank[g],
-                    AdaptiveWriteStart(target, cursor[target],
-                                       epoch=target_epoch.get(target, 0)),
+                    AdaptiveWriteStart(target, cursor[target], epoch=epoch),
                     tag=sc_tag[g],
                 )
                 in_flight[target] = True
@@ -1588,9 +1320,7 @@ class AdaptiveTransport(Transport):
                     and coord_flags["outstanding"] == 0
                 )
 
-            while not finished():
-                msg = yield comm.recv(coord, tag=TAG_COORD)
-                p = msg.payload
+            def dispatch(p) -> None:
                 if isinstance(p, WriteComplete):
                     if not p.adaptive:  # pragma: no cover - defensive
                         raise ProtocolError(
@@ -1608,13 +1338,8 @@ class AdaptiveTransport(Transport):
                     coord_flags["outstanding"] -= 1
                     in_flight[p.target_group] = False
                     poisoned.add(p.target_group)
-                    if traced:
-                        tracer.instant(
-                            "STEER_POISON", cat="fault", pid="adaptive",
-                            tid="coordinator",
-                            args={"target_group": p.target_group,
-                                  "reason": p.reason},
-                        )
+                    _instant("STEER_POISON", "coordinator", cat="fault",
+                             target_group=p.target_group, reason=p.reason)
                     # Never reschedule onto a target that just failed;
                     # its SC re-announces via ScRelocated + ScComplete.
                 elif isinstance(p, ScComplete):
@@ -1622,14 +1347,10 @@ class AdaptiveTransport(Transport):
                     cursor[p.source_group] = p.final_offset
                     target_epoch[p.source_group] = p.epoch
                     last_seen[p.source_group] = env.now
-                    if traced:
-                        tracer.instant(
-                            "SC_COMPLETE", cat="steer",
-                            pid="adaptive", tid="coordinator",
-                            args={"group": p.source_group,
-                                  "final_offset": float(p.final_offset),
-                                  "epoch": p.epoch},
-                        )
+                    _instant("SC_COMPLETE", "coordinator",
+                             group=p.source_group,
+                             final_offset=float(p.final_offset),
+                             **_epoch(p.epoch))
                     try_schedule(p.source_group)
                 elif isinstance(p, ScRelocated):
                     state[p.source_group] = _WRITING
@@ -1637,16 +1358,14 @@ class AdaptiveTransport(Transport):
                     poisoned.discard(p.source_group)
                     cursor.pop(p.source_group, None)
                     last_seen[p.source_group] = env.now
-                    if traced:
-                        tracer.instant(
-                            "SC_RELOCATED", cat="fault", pid="adaptive",
-                            tid="coordinator",
-                            args={"group": p.source_group,
-                                  "epoch": p.epoch},
-                        )
+                    _instant("SC_RELOCATED", "coordinator", cat="fault",
+                             group=p.source_group, epoch=p.epoch)
                 elif isinstance(p, Heartbeat):
                     last_seen[p.source_group] = env.now
                 elif isinstance(p, WritersBusy):
+                    # Guard a protocol race: the offer may have crossed
+                    # the SC's own ScComplete in flight — never
+                    # downgrade a complete SC.
                     if state[p.source_group] == _WRITING:
                         state[p.source_group] = _BUSY
                     coord_flags["outstanding"] -= 1
@@ -1654,6 +1373,23 @@ class AdaptiveTransport(Transport):
                     try_schedule(p.target_group)
                 else:  # pragma: no cover - defensive
                     raise ProtocolError(f"C: unexpected {p!r}")
+
+            while not finished():
+                msg = yield comm.recv(coord, tag=TAG_COORD)
+                p = msg.payload
+                if isinstance(p, CoordBatch):
+                    # Coalesced same-instant burst from a cohort: the
+                    # payloads run through dispatch in send order, one
+                    # per scheduling round — the round a loose message
+                    # waiting in the inbox costs — so same-instant
+                    # events elsewhere interleave with the burst as
+                    # they would with one message per payload.
+                    for i, q in enumerate(p.payloads):
+                        if i:
+                            yield env.timeout(0.0)
+                        dispatch(q)
+                else:
+                    dispatch(p)
 
             coord_flags["overall_sent"] = True
             for g in range(n_groups):
@@ -1672,6 +1408,8 @@ class AdaptiveTransport(Transport):
                         global_index.add_file(p.file_path, p.entries)
                 elif isinstance(p, Heartbeat):
                     last_seen[p.source_group] = env.now
+            # Merge into the global index and write the global index
+            # file (on any target if none is healthy).
             try:
                 gi_ost = fs.allocate_healthy_osts(1)[0]
             except StripeLimitExceeded:
@@ -1685,7 +1423,7 @@ class AdaptiveTransport(Transport):
                     nbytes=global_index.serialized_bytes,
                     writer=coord,
                     payload=("global_index", global_index),
-                    timeout=policy.write_timeout,
+                    timeout=write_timeout,
                     tenant=tenant,
                 )
             except (OstFailedError, WriteTimeout):
@@ -1712,13 +1450,8 @@ class AdaptiveTransport(Transport):
             poisoned.discard(g)
             cursor.pop(g, None)
             last_seen[g] = env.now
-            if traced:
-                tracer.instant(
-                    "SC_ADOPT", cat="fault", pid="adaptive",
-                    tid="coordinator",
-                    args={"group": g, "epoch": epoch_of[g],
-                          "dead_rank": dead_rank},
-                )
+            _instant("SC_ADOPT", "coordinator", cat="fault", group=g,
+                     epoch=epoch_of[g], dead_rank=dead_rank)
             proc = env.process(adopted_sc_proc(g),
                                name=f"adaptive.sc.{g}.adopt")
             adopted_procs.append(proc)
@@ -1727,7 +1460,7 @@ class AdaptiveTransport(Transport):
                 comm.send(coord, coord, OverallWriteComplete(),
                           tag=TAG_ADOPTED_BASE + g)
 
-        def monitor_proc(files_ready):
+        def monitor_proc():
             yield files_ready
             while not run_flags["stop"]:
                 yield env.timeout(policy.heartbeat_interval)
@@ -1739,29 +1472,33 @@ class AdaptiveTransport(Transport):
                         adopt(g)
 
         # ---------------- Orchestration ------------------------------------
-        def main():
-            t0 = env.now
+        def run_cohorts():
+            procs = [
+                env.process(group_proc(g), name=f"adaptive.sc.{g}")
+                for g in range(n_groups)
+            ]
+            procs.append(env.process(coord_proc(), name="adaptive.coord"))
+            yield env.all_of(procs)
+
+        def run_per_rank():
             faults.arm()  # plan times are relative to output start
             sc_procs = []
             hb_procs = []
             writer_procs = []
             for g in range(n_groups):
-                pr = env.process(sc_proc(g, files_ready, all_created),
-                                 name=f"adaptive.sc.{g}")
+                pr = env.process(group_proc(g), name=f"adaptive.sc.{g}")
                 sc_procs.append(pr)
                 faults.register(sc_rank[g], pr)
                 hb = env.process(heartbeat_proc(g), name=f"adaptive.hb.{g}")
                 hb_procs.append(hb)
                 faults.register(sc_rank[g], hb)
             for r in range(n_ranks):
-                pr = env.process(writer_proc(r, files_ready),
-                                 name=f"adaptive.w.{r}")
+                pr = env.process(writer_proc(r), name=f"adaptive.w.{r}")
                 writer_procs.append(pr)
                 faults.register(r, pr)
-            cp = env.process(coord_proc(files_ready), name="adaptive.coord")
+            cp = env.process(coord_proc(), name="adaptive.coord")
             faults.register(coord, cp)
-            mon = env.process(monitor_proc(files_ready),
-                              name="adaptive.monitor")
+            mon = env.process(monitor_proc(), name="adaptive.monitor")
             faults.register(coord, mon)
 
             deadline = env.timeout(policy.run_timeout)
@@ -1778,6 +1515,11 @@ class AdaptiveTransport(Transport):
                     run_flags["timed_out"] = True
                     break
                 pending = protocol_pending()  # adoption may have spawned
+            # Every one-shot timer below loses its any_of or has fired;
+            # cancelling a loser drops its calendar entry, so a later
+            # env.run() on this machine does not jump to it.
+            if not deadline.processed:
+                deadline.cancel()
 
             run_flags["stop"] = True
             if run_flags["timed_out"]:
@@ -1801,15 +1543,25 @@ class AdaptiveTransport(Transport):
             if lingering:
                 grace = env.timeout(max(1.0, 4 * policy.heartbeat_interval))
                 yield env.any_of([AllSettled(env, lingering), grace])
+                if not grace.processed:
+                    grace.cancel()
                 for p in lingering:
                     if p.is_alive:
                         p.kill("release grace expired")
 
+        def main():
+            t0 = env.now
+            if faults is None:
+                yield from run_cohorts()
+            else:
+                yield from run_per_rank()
+            # Explicit flush of every file before close (paper's
+            # measurement protocol), all in parallel.
             fstart = env.now
 
             def guarded_flush(f):
                 try:
-                    yield from fs.flush(f, timeout=policy.flush_timeout)
+                    yield from fs.flush(f, timeout=flush_timeout)
                 except (OstFailedError, WriteTimeout) as exc:
                     flush_failures.append(f"{f.path}: {exc}")
 
@@ -1830,48 +1582,15 @@ class AdaptiveTransport(Transport):
 
         def collect() -> OutputResult:
             t0 = done.value
-
-            durable_ranks: set = set()
-            for g in range(n_groups):
-                durable_ranks |= done_sets[g]
-            total = nbytes * n_ranks
-            bytes_durable = nbytes * len(durable_ranks)
-            bytes_lost = total - bytes_durable
-
             open_end = phase.get("open_end", t0)
             write_end = phase.get("write_end", open_end)
             flush_start = phase.get("flush_start", write_end)
             flush_end = phase.get("flush_end", flush_start)
             close_end = phase.get("close_end", flush_end)
-            # Corruption surviving in the *current* incarnations, after
-            # all verify-rewrites.  Informational for adaptive (`ok` is
-            # about durability; detection is the scrub's job),
-            # load-bearing for the statics' error accounting.
-            bytes_corrupt = 0.0
-            for g in range(n_groups):
-                f = files_at.get((g, epoch_of[g]))
-                if f is None:
-                    continue
-                for blk in f.stored_blocks():
-                    if blk.corrupt or blk.torn:
-                        bytes_corrupt += blk.nbytes
-            fault_extra = {
-                "n_groups": float(n_groups),
-                "busy_bounces": float(stats["busy_bounces"]),
-                "fault_retries": float(stats["retries"]),
-                "fault_aborts": float(stats["aborts"]),
-                "sc_relocations": float(stats["relocations"]),
-                "sc_adoptions": float(stats["adoptions"]),
-                "verify_failures": float(stats["verify_failures"]),
-                "bytes_durable": bytes_durable,
-                "bytes_lost": bytes_lost,
-                "bytes_corrupt": bytes_corrupt,
-            }
-            fault_extra.update(faults.summary())
             result = OutputResult(
                 transport=self.name,
                 n_writers=n_ranks,
-                total_bytes=total,
+                total_bytes=nbytes * n_ranks,
                 open_time=open_end - t0,
                 write_time=write_end - open_end,
                 flush_time=flush_end - flush_start,
@@ -1887,8 +1606,42 @@ class AdaptiveTransport(Transport):
                 n_adaptive_writes=stats["adaptive_writes"],
                 messages_sent=comm.messages_sent,
                 coordinator_messages=comm.messages_by_rank.get(coord, 0),
-                extra=fault_extra,
+                extra={
+                    "n_groups": float(n_groups),
+                    "busy_bounces": float(stats["busy_bounces"]),
+                },
             )
+            if faults is None:
+                return self._finish(machine, result)
+
+            durable_ranks: set = set()
+            for g in range(n_groups):
+                durable_ranks |= done_sets[g]
+            bytes_durable = nbytes * len(durable_ranks)
+            bytes_lost = result.total_bytes - bytes_durable
+            # Corruption surviving in the *current* incarnations, after
+            # all verify-rewrites.  Informational for adaptive (`ok` is
+            # about durability; detection is the scrub's job),
+            # load-bearing for the statics' error accounting.
+            bytes_corrupt = 0.0
+            for g in range(n_groups):
+                f = files_at.get((g, epoch_of[g]))
+                if f is None:
+                    continue
+                for blk in f.stored_blocks():
+                    if blk.corrupt or blk.torn:
+                        bytes_corrupt += blk.nbytes
+            result.extra.update({
+                "fault_retries": float(stats["retries"]),
+                "fault_aborts": float(stats["aborts"]),
+                "sc_relocations": float(stats["relocations"]),
+                "sc_adoptions": float(stats["adoptions"]),
+                "verify_failures": float(stats["verify_failures"]),
+                "bytes_durable": bytes_durable,
+                "bytes_lost": bytes_lost,
+                "bytes_corrupt": bytes_corrupt,
+            })
+            result.extra.update(faults.summary())
             ok = (
                 not run_flags["timed_out"]
                 and not flush_failures

@@ -23,9 +23,10 @@ two-lane groups; live production noise on 8 OSTs with and without a
 background job, where same-instant completions and offers tie and the
 cohort must reproduce the reference's tie order; a 4-step history-aware
 campaign (weighted quotas and the steering veto); and the five-tenant
-QoS cell.  Faulted runs take the per-rank ``_launch_faulted`` protocol;
-one test checks that a completed faulted run leaves no live
-heartbeat/monitor wake-ups in the calendar.
+QoS cell.  Faulted runs take the per-rank, fault-hardened roles and are
+pinned by ``test_adaptive_faulted_golden.py``; here, attaching a tracer
+or metrics registry must not move a faulted run's floats either, and a
+completed faulted run must leave no live entry in the calendar.
 
 Floats are stored with ``repr`` precision, so a comparison is exact.
 The fixture's ``generated_by`` names the commit and protocol that wrote
@@ -279,6 +280,20 @@ def test_cell_bit_identical(golden, name):
     )
 
 
+# Faults on the 48-rank, 6-OST cell with OSTs 0 and 1 slowed: a
+# fail-stop and a hang (timed out, retried, then relocated) on target 3
+# while its group is still writing.
+FAULT_PLANS = {
+    "failstop": lambda: FaultPlan(events=(
+        FaultEvent(time=0.03, kind="ost_fail", target=3),
+    )),
+    "hang": lambda: FaultPlan(events=(
+        FaultEvent(time=0.03, kind="ost_hang", target=3),
+    )).with_policy(write_timeout=0.05, max_retries=1, backoff_base=0.01,
+                   backoff_cap=0.02, run_timeout=60.0),
+}
+
+
 class TestTelemetryBitIdentity:
     """Observation must not perturb: metrics and tracing attached to a
     run reproduce the bare run's floats exactly."""
@@ -292,6 +307,23 @@ class TestTelemetryBitIdentity:
         _, bare = run_one(slow_osts=(0, 1))
         _, traced = run_one(slow_osts=(0, 1), tracer=Tracer())
         assert_equivalent(bare, traced)
+
+    @pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+    @pytest.mark.parametrize("observer", ["metrics", "tracer"])
+    def test_observer_on_off_faulted(self, plan, observer):
+        """The fault-hardened run too: relocation, retries and their
+        trace instants must not move a float."""
+        def run(**observe):
+            return run_one(slow_osts=(0, 1), faults=FAULT_PLANS[plan](),
+                           **observe)[1]
+
+        bare = run()
+        observed = run(**{observer: {"metrics": MetricsRegistry,
+                                     "tracer": Tracer}[observer]()})
+        assert bare.extra["sc_relocations"] >= 1
+        assert writer_tuples(bare) == writer_tuples(observed)
+        assert bare.extra == observed.extra
+        assert bare.reported_time == observed.reported_time
 
 
 def degrade_plan():
@@ -307,22 +339,22 @@ def degrade_plan():
 
 class TestFaultedPath:
     def test_no_live_wakeups_after_faulted_run(self):
-        """A completed faulted run must cancel the heartbeat senders'
-        and monitor's parked timeouts — a stale wakeup per group
-        would otherwise linger in the calendar (O(groups) tombstones
-        firing into dead closures)."""
+        """A completed faulted run must leave nothing in the calendar:
+        the heartbeat senders' and monitor's parked timeouts, the
+        run-timeout backstop and the writer-release grace are all
+        cancelled.  A stale entry would fire into a dead closure, and a
+        later ``env.run()`` on the machine would jump the clock to the
+        backstop (900 s)."""
         m, res = run_one(faults=degrade_plan())
         assert len(res.per_writer) == 48
         live = [
             entry[3] for entry in m.env._queue
             if not entry[3].cancelled and not entry[3].processed
         ]
-        # Permissible O(1) survivors: the run-timeout backstop and the
-        # writer-release goodbye grace (both one-shot ``any_of``
-        # losers).  Nothing that scales with group count may remain —
-        # uncancelled heartbeat/monitor park-timeouts would leave
-        # n_groups + 1 >= 7 live wakeups here.
-        assert len(live) <= 3
+        assert live == []
+        end = m.env.now
+        m.env.run()
+        assert m.env.now == end
 
 
 # -- regenerating the fixture -------------------------------------------------
