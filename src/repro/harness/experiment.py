@@ -7,9 +7,10 @@ from contextlib import contextmanager
 from enum import Enum
 from typing import Callable, List, TypeVar
 
+from repro.context import using
+
 __all__ = [
     "Scale",
-    "checkpoint_to",
     "metrics_to",
     "n_samples_override",
     "resolve_preset",
@@ -110,9 +111,9 @@ def run_samples(
 
     Every sample builds its own machine from its seed, so samples are
     statistically independent, individually reproducible — and safe to
-    fan out over worker processes: with ``jobs`` (or ``REPRO_JOBS``)
-    above 1 this delegates to :mod:`repro.harness.parallel` and the
-    :mod:`repro.service` scheduler, whose results are bit-for-bit
+    fan out over worker processes: with ``jobs`` (or the run
+    context's) above 1 this delegates to :mod:`repro.harness.parallel`
+    and the :mod:`repro.service` scheduler, whose results are bit-for-bit
     identical to serial execution (including across worker deaths,
     retries, and journal resume — see DESIGN.md §14).  *fn* must then
     be picklable (module-level function or ``functools.partial``);
@@ -130,49 +131,22 @@ def run_samples(
 def trace_to(path: str, tracer=None):
     """Trace every machine built inside the block; export on exit.
 
-    Installs a :class:`~repro.trace.Tracer` as the process-wide active
-    tracer (every :meth:`MachineSpec.build` picks it up) and writes the
-    Chrome trace-event JSON to *path* when the block finishes — even on
-    error, so a crashed experiment still leaves an inspectable trace.
+    Installs a :class:`~repro.trace.Tracer` in the run context (every
+    :meth:`MachineSpec.build` picks it up) and writes the Chrome
+    trace-event JSON to *path* when the block finishes — even on error,
+    so a crashed experiment still leaves an inspectable trace.
 
     >>> with trace_to("trace.json"):         # doctest: +SKIP
     ...     fig6.run("smoke")
     """
-    from repro.trace import Tracer, chrome, tracing
+    from repro.trace import Tracer, chrome
 
     t = tracer if tracer is not None else Tracer()
     try:
-        with tracing(t):
+        with using(tracer=t):
             yield t
     finally:
         chrome.export(t.events, path)
-
-
-@contextmanager
-def checkpoint_to(state_dir: str):
-    """Checkpoint every sweep cell run inside the block to *state_dir*.
-
-    Installs the directory as the process-wide journal state dir
-    (every :func:`run_samples` batch below appends completed jobs to
-    ``state_dir/journal.jsonl``, fsync'd per record).  Re-entering the
-    same block after a crash resumes from the journal: completed cells
-    are restored bit-identically, only the rest recompute.  Equivalent
-    to ``REPRO_JOURNAL=state_dir`` / ``--journal`` on the CLIs.
-
-    >>> with checkpoint_to("sweep_state"):   # doctest: +SKIP
-    ...     fig1.run("paper")
-    """
-    from repro.service.journal import (
-        get_active_state_dir,
-        set_active_state_dir,
-    )
-
-    prev = get_active_state_dir()
-    set_active_state_dir(state_dir)
-    try:
-        yield state_dir
-    finally:
-        set_active_state_dir(prev)
 
 
 @contextmanager
@@ -180,8 +154,8 @@ def metrics_to(path: str, registry=None):
     """Collect telemetry from every machine built inside the block.
 
     The registry twin of :func:`trace_to`: installs a
-    :class:`~repro.telemetry.MetricsRegistry` as the process-wide
-    active registry (every :meth:`MachineSpec.build` attaches it, and
+    :class:`~repro.telemetry.MetricsRegistry` in the run context
+    (every :meth:`MachineSpec.build` attaches it, and
     :mod:`repro.harness.parallel` ships worker snapshots back into it)
     and writes the JSON snapshot to *path* when the block finishes —
     even on error.  Collection is non-perturbing: results are
@@ -190,11 +164,11 @@ def metrics_to(path: str, registry=None):
     >>> with metrics_to("metrics.json"):     # doctest: +SKIP
     ...     fig6.run("smoke")
     """
-    from repro.telemetry import MetricsRegistry, collecting
+    from repro.telemetry import MetricsRegistry
 
     reg = registry if registry is not None else MetricsRegistry()
     try:
-        with collecting(reg):
+        with using(metrics=reg):
             yield reg
     finally:
         with open(path, "w") as fh:

@@ -84,11 +84,23 @@ def _app(mb: float):
     )
 
 
+def _fault_free_build(spec, n_ranks: int, seed: int):
+    """A machine with no fault plan, whatever the run context holds.
+
+    The artifact injects only the plans it builds itself, so an
+    ambient plan (``--faults``) must not reach its baselines.
+    """
+    from repro.context import using
+
+    with using(faults=None):
+        return spec.build(n_ranks=n_ranks, seed=seed)
+
+
 def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
               n_ranks: int, mb: float) -> Dict[str, float]:
     """One (method, k-failures) sample; returns JSON-safe scalars."""
     from repro.errors import TransportError
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
     from repro.machines import jaguar
 
@@ -99,7 +111,7 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
     # Fault-free run: the method's own write time sizes the mid-write
     # failure instant, so every method is hit at the same *fraction*
     # of its output (not the same wall instant).
-    m0 = spec.build(n_ranks=n_ranks, seed=seed)
+    m0 = _fault_free_build(spec, n_ranks, seed)
     install_production_noise(m0, live=True)
     base = transport.run(m0, app, output_name="resil")
     if k == 0:
@@ -123,23 +135,22 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
             for i in range(k)
         )
     ).with_policy(run_timeout=max(120.0, 50.0 * base.reported_time))
-    with with_faults(plan):
-        m = spec.build(n_ranks=n_ranks, seed=seed)
-        install_production_noise(m, live=True)
-        try:
-            res = transport.run(m, app, output_name="resil")
-            durable = res.extra.get("bytes_durable", res.total_bytes)
-            reported = res.reported_time
-            completed = 1.0
-        except TransportError as exc:
-            durable = exc.bytes_durable
-            p = exc.partial
-            reported = (
-                p.reported_time
-                if p is not None and p.reported_time > 0
-                else m.env.now
-            )
-            completed = 0.0
+    m = spec.build(n_ranks=n_ranks, seed=seed, faults=plan)
+    install_production_noise(m, live=True)
+    try:
+        res = transport.run(m, app, output_name="resil")
+        durable = res.extra.get("bytes_durable", res.total_bytes)
+        reported = res.reported_time
+        completed = 1.0
+    except TransportError as exc:
+        durable = exc.bytes_durable
+        p = exc.partial
+        reported = (
+            p.reported_time
+            if p is not None and p.reported_time > 0
+            else m.env.now
+        )
+        completed = 0.0
     total = app.per_process_bytes * n_ranks
     first_frac = durable / total
     time_to_complete = reported
@@ -151,7 +162,7 @@ def _one_cell(seed: int, method: str, k: int, n_osts: int, cap: int,
         spec2 = jaguar(n_osts=n_osts - k).with_overrides(
             max_stripe_count=cap
         )
-        m2 = spec2.build(n_ranks=n_ranks, seed=seed)
+        m2 = _fault_free_build(spec2, n_ranks, seed)
         install_production_noise(m2, live=True)
         redo = transport.run(m2, app, output_name="resil")
         time_to_complete = reported + redo.reported_time
@@ -184,7 +195,7 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
         SplitFilesTransport,
     )
     from repro.errors import TransportError
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.faults import FaultEvent, FaultPlan
     from repro.interference import install_production_noise
     from repro.machines import jaguar
     from repro.units import MB
@@ -207,14 +218,14 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
     spec = jaguar(n_osts=n_osts).with_overrides(max_stripe_count=cap)
 
     # Checksummed fault-free run: overhead numerator + clean scrub.
-    m0 = spec.build(n_ranks=n_ranks, seed=seed)
+    m0 = _fault_free_build(spec, n_ranks, seed)
     install_production_noise(m0, live=True)
     base = transport().run(m0, app(True), output_name="resil")
     reader0 = BpReader(m0.fs, index=base.index, files=base.files)
     clean = detection_stats(reader0.scrub(), m0.fs, base.index)
 
     # Checksum-free fault-free run: the overhead denominator.
-    m1 = spec.build(n_ranks=n_ranks, seed=seed)
+    m1 = _fault_free_build(spec, n_ranks, seed)
     install_production_noise(m1, live=True)
     plain = transport().run(m1, app(False), output_name="resil")
     overhead_pct = (
@@ -239,15 +250,14 @@ def _integrity_cell(seed: int, method: str, n_osts: int, cap: int,
             FaultEvent(time=at, kind="stale_index", target=2, factor=1),
         ),
     ).with_policy(run_timeout=max(120.0, 50.0 * base.reported_time))
-    with with_faults(plan):
-        m2 = spec.build(n_ranks=n_ranks, seed=seed)
-        install_production_noise(m2, live=True)
-        try:
-            res = transport().run(m2, app(True), output_name="resil")
-        except TransportError as exc:
-            # The statics flag corrupt bytes at finalize; the partial
-            # result still carries the index and file list to scrub.
-            res = exc.partial
+    m2 = spec.build(n_ranks=n_ranks, seed=seed, faults=plan)
+    install_production_noise(m2, live=True)
+    try:
+        res = transport().run(m2, app(True), output_name="resil")
+    except TransportError as exc:
+        # The statics flag corrupt bytes at finalize; the partial
+        # result still carries the index and file list to scrub.
+        res = exc.partial
     reader = BpReader(m2.fs, index=res.index, files=res.files)
     proc = m2.env.process(reader.scrub_sim(0), name="resil.scrub")
     m2.env.run(until=proc)

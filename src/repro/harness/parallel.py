@@ -20,24 +20,22 @@ execution:
   pickled originals) and recomputes only the rest from their
   pre-derived seeds, so crash/resume preserves the same contract.
 
-Job count resolution, in priority order: the explicit ``jobs``
-argument, the ``REPRO_JOBS`` environment variable (``0`` means "all
-cores"), else serial.  ``--jobs N`` on ``repro.tools.experiment`` and
-on the benchmark suite sets ``REPRO_JOBS`` for everything below it.
+The worker count, journal, per-job timeout and retry cap come from
+the run context (:mod:`repro.context`): an explicit ``jobs`` argument,
+else ``using(jobs=..., journal_dir=..., job_timeout=...,
+job_retries=...)``, else ``REPRO_JOBS`` (``0`` means "all cores"),
+``REPRO_JOURNAL``, ``REPRO_JOB_TIMEOUT`` and ``REPRO_JOB_RETRIES``.
+``--jobs N`` and ``--journal DIR`` on ``repro.tools.experiment``
+(``--state-dir`` on ``repro.tools.serve``) install them with
+``using``; the benchmark suite's flags set the variables.  With a
+journal active even serial execution routes through the scheduler so
+every completed cell survives a crash.
 
-Checkpointing engages when a journal state directory is active:
-either ``REPRO_JOURNAL=DIR`` in the environment (set by ``--journal``
-on the experiment CLI and benchmark suite, and by ``repro.tools.serve``)
-or an explicit :func:`repro.harness.experiment.checkpoint_to` block.
-With a journal active even serial execution routes through the
-scheduler so every completed cell survives a crash.  ``REPRO_JOB_TIMEOUT``
-(seconds) and ``REPRO_JOB_RETRIES`` tune the per-job wall-clock budget
-and the retry cap for crashed/hung workers.
-
-Tracing and telemetry work as before: when a process-wide tracer or
-metrics registry is active, each job runs under fresh instrumentation
-and the parent absorbs the buffers in submission order
-(:meth:`repro.trace.Tracer.absorb` /
+Every job runs under the caller's context, shipped to its worker
+whatever the start method, so fault plans reach spawned workers too.
+When the context carries a tracer or metrics registry, each job runs
+under fresh instrumentation and the parent absorbs the buffers in
+submission order (:meth:`repro.trace.Tracer.absorb` /
 :meth:`repro.telemetry.MetricsRegistry.absorb`).  Instrumentation
 buffers are journaled alongside results, so a resumed traced sweep is
 traced like an uninterrupted one.
@@ -61,6 +59,8 @@ import pickle
 import warnings
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from repro.context import current
+
 __all__ = ["parallel_map", "resolve_jobs", "run_samples"]
 
 T = TypeVar("T")
@@ -68,45 +68,15 @@ U = TypeVar("U")
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count to use: explicit *jobs*, else ``REPRO_JOBS``, else 1.
+    """Worker count to use: explicit *jobs*, else the run context's.
 
     ``0`` (or any negative value) means "one worker per CPU core".
     """
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
+        jobs = current().jobs
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return jobs
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{name} must be an integer, got {raw!r}"
-        ) from None
 
 
 def parallel_map(
@@ -119,20 +89,18 @@ def parallel_map(
 
     Order-stable: result *i* corresponds to ``items[i]`` no matter
     which worker finished first (or died and had its job adopted).
-    With ``jobs == 1`` (the default when ``REPRO_JOBS`` is unset) and
-    no active journal, no scheduler is created and this *is* the list
+    With one job (the default when the context sets none) and no
+    active journal, no scheduler is created and this *is* the list
     comprehension.  A non-picklable *fn* (closure, lambda, bound
     local) triggers a plain serial fallback with a ``RuntimeWarning``.
 
     *label* names the sweep cell in journals, progress output, and
     failure messages (falling back to the function's qualified name).
     """
-    from repro.service.journal import get_active_state_dir
-
-    n_jobs = resolve_jobs(jobs)
+    ctx = current()
+    n_jobs = resolve_jobs(ctx.jobs if jobs is None else jobs)
     items = list(items)
-    state_dir = get_active_state_dir()
-    if state_dir is None and (n_jobs <= 1 or len(items) <= 1):
+    if ctx.journal_dir is None and (n_jobs <= 1 or len(items) <= 1):
         return [fn(x) for x in items]
 
     try:
@@ -150,7 +118,7 @@ def parallel_map(
 
     from repro.service.job import describe_fn, make_job
     from repro.service.journal import journal_in
-    from repro.service.scheduler import Scheduler, get_progress_hook
+    from repro.service.scheduler import Scheduler
 
     base_label = label if label is not None else describe_fn(fn)[0]
     specs = [
@@ -158,17 +126,16 @@ def parallel_map(
         for i, x in enumerate(items)
     ]
     policy = None
-    retries = _env_int("REPRO_JOB_RETRIES")
-    if retries is not None:
+    if ctx.job_retries is not None:
         from repro.faults import RetryPolicy
 
-        policy = RetryPolicy(max_retries=retries)
+        policy = RetryPolicy(max_retries=ctx.job_retries)
     scheduler = Scheduler(
         n_workers=n_jobs,
         policy=policy,
-        job_timeout=_env_float("REPRO_JOB_TIMEOUT"),
-        journal=journal_in(state_dir) if state_dir else None,
-        progress=get_progress_hook(),
+        job_timeout=ctx.job_timeout,
+        journal=journal_in(ctx.journal_dir) if ctx.journal_dir else None,
+        progress=ctx.progress,
     )
     return scheduler.run(specs, label=base_label)
 

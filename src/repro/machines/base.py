@@ -7,10 +7,10 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultInjector, FaultPlan
-    from repro.qos import QosConfig
     from repro.telemetry import MetricsRegistry, OnlineMonitor
     from repro.trace.tracer import Tracer
 
+from repro.context import current
 from repro.errors import ConfigurationError
 from repro.lustre.filesystem import FileSystem
 from repro.lustre.mds import MetadataServer
@@ -68,7 +68,6 @@ class MachineSpec:
         tracer: Optional["Tracer"] = None,
         faults: Optional["FaultPlan"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        qos: Optional["QosConfig"] = None,
     ) -> "Machine":
         """Instantiate the machine for a job of ``n_ranks`` processes.
 
@@ -77,26 +76,14 @@ class MachineSpec:
         (other batch jobs, attached analysis clusters) that share the
         file system but not the job's compute nodes.
 
-        ``tracer`` attaches an observability tracer; when omitted the
-        process-wide active tracer (``repro.trace.tracing``) is used if
-        one is installed, so harnesses can trace whole sweeps without
-        threading the tracer through every call site.
-
-        ``faults`` installs a fault plan; when omitted the process-wide
-        active plan (``repro.faults.with_faults``) or a plan file named
-        by ``REPRO_FAULTS`` is used.  With no plan from any source,
-        ``machine.faults`` is None and all fault machinery is off.
-
-        ``metrics`` attaches a telemetry registry (and a non-perturbing
-        settle-hook monitor feeding it); like ``tracer`` it falls back
-        to the process-wide active registry
-        (``repro.telemetry.collecting``) when omitted.
-
-        ``qos`` stores a multi-tenant bandwidth-contract config on the
-        machine (``machine.qos``); when omitted the process-wide active
-        config (``repro.qos.with_qos``) or a contract file named by
-        ``REPRO_QOS`` is used.  The config is inert until a harness
-        (``repro.qos.run_tenants``) installs the control plane.
+        ``tracer`` attaches an observability tracer, ``metrics`` a
+        telemetry registry (with a non-perturbing settle-hook monitor
+        feeding it) and ``faults`` a fault plan.  Each one omitted is
+        taken from the run context (:func:`repro.context.current`), so
+        harnesses can instrument or fault whole sweeps without
+        threading arguments through every call site.  With no plan
+        from either source, ``machine.faults`` is None and all fault
+        machinery is off.
         """
         if n_ranks < 1:
             raise ConfigurationError("n_ranks must be >= 1")
@@ -150,32 +137,22 @@ class MachineSpec:
             service_node_base=topology.n_nodes,
             n_service_nodes=extra_service_nodes,
         )
+        ctx = current()
         if tracer is None:
-            from repro.trace import get_active_tracer
-
-            tracer = get_active_tracer()
-        if tracer is None:
-            tracer = env.tracer
+            tracer = ctx.tracer if ctx.tracer is not None else env.tracer
         if tracer is not None:
             machine.attach_tracer(tracer)
         if metrics is None:
-            from repro.telemetry import get_active_registry
-
-            metrics = get_active_registry()
-        if metrics is None:
-            metrics = env.metrics
+            metrics = ctx.metrics if ctx.metrics is not None else env.metrics
         if metrics is not None:
             machine.attach_metrics(metrics)
-        from repro.faults import FaultInjector, resolve_fault_plan
-
-        plan = resolve_fault_plan(faults)
+        plan = faults if faults is not None else ctx.faults
         if plan is not None:
+            from repro.faults import FaultInjector
+
             machine.faults = FaultInjector(
                 env, fs, plan, rngs, n_ranks=n_ranks
             )
-        from repro.qos import resolve_qos_config
-
-        machine.qos = resolve_qos_config(qos)
         return machine
 
 
@@ -194,7 +171,6 @@ class Machine:
     faults: Optional["FaultInjector"] = None
     metrics: Optional["MetricsRegistry"] = None
     monitor: Optional["OnlineMonitor"] = None
-    qos: Optional["QosConfig"] = None
 
     def attach_tracer(self, tracer: "Tracer") -> None:
         """Bind a tracer to every traced layer of this machine."""

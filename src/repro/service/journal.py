@@ -42,10 +42,8 @@ __all__ = [
     "Journal",
     "decode_result",
     "encode_result",
-    "get_active_state_dir",
     "journal_in",
     "replay",
-    "set_active_state_dir",
     "summarize",
 ]
 
@@ -248,28 +246,9 @@ def summarize(state_dir: str) -> dict:
     return {"labels": labels, "totals": totals}
 
 
-# -- process-wide active state directory ---------------------------------
-#
-# Mirrors the tracer/registry pattern: an explicitly installed state
-# dir wins, else the REPRO_JOURNAL environment variable (which also
-# propagates to worker processes and subcommands), else None (no
-# checkpointing).  One Journal instance is kept per directory so many
-# scheduler batches in one sweep share a single replay.
-
-_active_state_dir: Optional[str] = None
+# One Journal instance is kept per directory so many scheduler batches
+# in one sweep share a single replay.
 _journals: Dict[str, Journal] = {}
-
-
-def set_active_state_dir(path: Optional[str]) -> None:
-    global _active_state_dir
-    _active_state_dir = path
-
-
-def get_active_state_dir() -> Optional[str]:
-    if _active_state_dir is not None:
-        return _active_state_dir
-    env = os.environ.get("REPRO_JOURNAL", "").strip()
-    return env or None
 
 
 def journal_in(state_dir: str) -> Journal:

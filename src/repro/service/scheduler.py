@@ -33,7 +33,12 @@ same way — and fails the batch immediately with a
 and a ready-to-paste reproduction one-liner.  Pass
 ``retry_errors=True`` for workloads where exceptions are transient.
 
-Scheduler counters land in the active telemetry registry when one is
+Each batch runs under the caller's run context
+(:func:`repro.context.current`), shipped whole to every worker minus the
+journal directory and progress callback, so a worker started by
+``spawn`` or ``forkserver`` sees the same fault plan as a forked one.
+
+Scheduler counters land in the context's metrics registry when one is
 collecting: ``sched.jobs_done``, ``sched.jobs_restored``,
 ``sched.retries``, ``sched.adoptions``, ``sched.timeouts``,
 ``sched.respawns``, ``sched.checkpoint_bytes``, ``sched.queue_depth``.
@@ -43,41 +48,20 @@ from __future__ import annotations
 
 import base64
 import heapq
-import os
 import pickle
 import signal
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.context import RunContext, current, using
 from repro.errors import ConfigurationError, JobFailure
 from repro.service.job import JobSpec, repro_command
 from repro.service.journal import Journal, decode_result, encode_result
 
-__all__ = [
-    "Scheduler",
-    "SchedulerStats",
-    "get_progress_hook",
-    "set_progress_hook",
-]
-
-# Process-wide progress hook (the serve daemon installs one so nested
-# run_samples batches report into its status file).  Mirrors the
-# active-tracer pattern: consulted at scheduler construction.
-_progress_hook: Optional[Callable[["SchedulerStats"], None]] = None
-
-
-def set_progress_hook(
-    fn: Optional[Callable[["SchedulerStats"], None]]
-) -> None:
-    global _progress_hook
-    _progress_hook = fn
-
-
-def get_progress_hook() -> Optional[Callable[["SchedulerStats"], None]]:
-    return _progress_hook
+__all__ = ["Scheduler", "SchedulerStats"]
 
 
 @dataclass
@@ -105,46 +89,30 @@ class SchedulerStats:
         self.serial_fallback = self.serial_fallback or other.serial_fallback
 
 
-def _execute(fn: Callable, arg: Any, want_trace: bool, want_metrics: bool):
-    """Run one job under isolated instrumentation.
+def _execute(fn: Callable, arg: Any, ctx: RunContext):
+    """Run one job under *ctx*, with fresh instrumentation.
 
-    Returns ``(result, events, metrics)``: the tracer's event buffer
-    and a registry snapshot when that instrumentation is requested,
-    else ``None``.  Always overrides any inherited process-wide tracer
-    or registry (a fork-started worker may carry the parent's, whose
-    recordings would land in a lost copy).
+    Returns ``(result, events, metrics)``: the job's trace buffer and
+    registry snapshot when *ctx* carries a tracer / registry, else
+    ``None``.  *ctx* replaces the whole context of the process, so a
+    fork-started worker never records into its copy of the parent's
+    tracer or registry.
     """
-    from repro.telemetry import MetricsRegistry, collecting
-    from repro.telemetry.registry import set_active_registry
-    from repro.trace import Tracer, tracing
-    from repro.trace.tracer import set_active_tracer
+    from repro.telemetry import MetricsRegistry
+    from repro.trace import Tracer
 
-    if want_metrics:
-        reg = MetricsRegistry()
-        ctx = collecting(reg)
-    else:
-        reg = None
-        set_active_registry(None)
-        ctx = None
-    if want_trace:
-        t = Tracer()
-        with tracing(t):
-            if ctx is not None:
-                with ctx:
-                    result = fn(arg)
-            else:
-                result = fn(arg)
-        return result, t.events, reg.snapshot() if reg else None
-    set_active_tracer(None)
-    if ctx is not None:
-        with ctx:
-            result = fn(arg)
-    else:
+    tracer = Tracer() if ctx.tracer is not None else None
+    metrics = MetricsRegistry() if ctx.metrics is not None else None
+    with using(**dict(vars(ctx), tracer=tracer, metrics=metrics)):
         result = fn(arg)
-    return result, None, reg.snapshot() if reg else None
+    return (
+        result,
+        tracer.events if tracer is not None else None,
+        metrics.snapshot() if metrics is not None else None,
+    )
 
 
-def _worker_main(conn, want_trace: bool, want_metrics: bool) -> None:
+def _worker_main(conn, ctx: RunContext) -> None:
     """Shard main loop: recv ``(job_id, fn, arg)``, send the outcome.
 
     SIGINT is ignored so a ctrl-C lands in the parent only — the
@@ -163,9 +131,7 @@ def _worker_main(conn, want_trace: bool, want_metrics: bool) -> None:
             return
         job_id, fn, arg = msg
         try:
-            result, events, metrics = _execute(
-                fn, arg, want_trace, want_metrics
-            )
+            result, events, metrics = _execute(fn, arg, ctx)
         except BaseException as exc:
             try:
                 exc_bytes: Optional[bytes] = pickle.dumps(exc)
@@ -258,7 +224,6 @@ class Scheduler:
         self.fail_fast = fail_fast
         self.progress = progress
         self.stats = SchedulerStats()
-        self._metrics_bound = False
         self._m: Dict[str, Any] = {}
         # Adoption events per job id, folded into the job's eventual
         # "done" journal record so status/partial views can attribute
@@ -266,11 +231,8 @@ class Scheduler:
         self._adopted_jobs: Dict[str, int] = {}
 
     # -- telemetry ---------------------------------------------------------
-    def _bind_metrics(self) -> None:
-        from repro.telemetry.registry import get_active_registry
-
-        reg = get_active_registry()
-        if reg is None or not reg.enabled:
+    def _bind_metrics(self, reg) -> None:
+        if reg is None:
             self._m = {}
             return
         self._m = {
@@ -383,7 +345,6 @@ class Scheduler:
         ids = [j.job_id for j in jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate job ids in batch")
-        self._bind_metrics()
         self.stats = SchedulerStats(jobs=len(jobs), label=label)
         known = set(ids)
         for j in jobs:
@@ -395,13 +356,25 @@ class Scheduler:
                         f"job {j.label!r} depends on unknown job {dep!r}"
                     )
 
-        from repro.telemetry.registry import get_active_registry
-        from repro.trace.tracer import get_active_tracer
+        from repro.telemetry import MetricsRegistry
+        from repro.trace import Tracer
 
-        tracer = get_active_tracer()
-        want_trace = tracer is not None and tracer.enabled
-        registry = get_active_registry()
-        want_metrics = registry is not None and registry.enabled
+        ctx = current()
+        tracer = ctx.tracer
+        if tracer is not None and not tracer.enabled:
+            tracer = None
+        registry = ctx.metrics
+        if registry is not None and not registry.enabled:
+            registry = None
+        self._bind_metrics(registry)
+        # What every job runs under, inline or in a worker.  The empty
+        # tracer / registry only say "instrument"; each job swaps in
+        # fresh ones (see _execute).
+        job_ctx = replace(
+            ctx, journal_dir=None, progress=None,
+            tracer=Tracer() if tracer is not None else None,
+            metrics=MetricsRegistry() if registry is not None else None,
+        )
 
         results: Dict[str, Any] = {}
         aux: Dict[str, tuple] = {}
@@ -435,13 +408,12 @@ class Scheduler:
         if todo:
             if self.n_workers <= 1 or len(todo) <= 1:
                 self._run_inline(
-                    todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok, degraded=False,
+                    todo, results, aux, failures, job_ctx, dep_ok,
+                    degraded=False,
                 )
             else:
                 self._run_pool(
-                    todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok,
+                    todo, results, aux, failures, job_ctx, dep_ok
                 )
 
         # Absorb instrumentation in submission order, so a fanned-out
@@ -449,9 +421,9 @@ class Scheduler:
         # one.
         for job_id in ids:
             events, metrics = aux.get(job_id, (None, None))
-            if want_trace and events:
+            if tracer is not None and events:
                 tracer.absorb(events)
-            if want_metrics and metrics is not None:
+            if registry is not None and metrics is not None:
                 registry.absorb(metrics)
 
         self._notify()
@@ -460,8 +432,8 @@ class Scheduler:
         return [results[job_id] for job_id in ids]
 
     # -- inline (serial / degraded) path ----------------------------------
-    def _run_inline(self, todo, results, aux, failures, want_trace,
-                    want_metrics, dep_ok, degraded: bool) -> None:
+    def _run_inline(self, todo, results, aux, failures, job_ctx, dep_ok,
+                    degraded: bool) -> None:
         """Run *todo* in the parent, checkpointing each completion.
 
         Used both for ``n_workers <= 1`` batches and as the degraded
@@ -491,7 +463,7 @@ class Scheduler:
             t0 = time.monotonic()
             try:
                 result, events, metrics = _execute(
-                    spec.fn, spec.arg, want_trace, want_metrics
+                    spec.fn, spec.arg, job_ctx
                 )
             except BaseException as exc:
                 text = traceback.format_exc()
@@ -511,23 +483,23 @@ class Scheduler:
             self._notify()
 
     # -- pool path ---------------------------------------------------------
-    def _spawn(self, ctx, want_trace, want_metrics) -> _Shard:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
+    def _spawn(self, mp_ctx, job_ctx: RunContext) -> _Shard:
+        parent_conn, child_conn = mp_ctx.Pipe(duplex=True)
+        proc = mp_ctx.Process(
             target=_worker_main,
-            args=(child_conn, want_trace, want_metrics),
+            args=(child_conn, job_ctx),
             daemon=True,
         )
         proc.start()
         child_conn.close()
         return _Shard(proc, parent_conn)
 
-    def _run_pool(self, todo, results, aux, failures, want_trace,
-                  want_metrics, dep_ok) -> None:
+    def _run_pool(self, todo, results, aux, failures, job_ctx,
+                  dep_ok) -> None:
         import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
 
-        ctx = mp.get_context()
+        mp_ctx = mp.get_context()
         queue: List[_Pending] = []
         seq = 0
         for spec in todo:
@@ -538,7 +510,7 @@ class Scheduler:
         n_start = min(self.n_workers, len(todo))
         try:
             for _ in range(n_start):
-                shards.append(self._spawn(ctx, want_trace, want_metrics))
+                shards.append(self._spawn(mp_ctx, job_ctx))
 
             def requeue(spec: JobSpec, attempt: int, why: str) -> None:
                 nonlocal seq
@@ -586,9 +558,7 @@ class Scheduler:
                     respawns += 1
                     self.stats.respawns += 1
                     self._count("respawns")
-                    shards.append(
-                        self._spawn(ctx, want_trace, want_metrics)
-                    )
+                    shards.append(self._spawn(mp_ctx, job_ctx))
                 self._notify()
 
             def finish(shard: _Shard, msg) -> None:
@@ -690,8 +660,8 @@ class Scheduler:
                     ]
                     queue = []
                     self._run_inline(
-                        remaining, results, aux, failures, want_trace,
-                        want_metrics, dep_ok, degraded=True,
+                        remaining, results, aux, failures, job_ctx,
+                        dep_ok, degraded=True,
                     )
                     break
                 if not busy:

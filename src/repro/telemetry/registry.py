@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,9 +47,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "Series",
-    "collecting",
-    "get_active_registry",
-    "set_active_registry",
 ]
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -427,30 +423,3 @@ def _fmt_labels(labels: LabelsKey, **extra: str) -> str:
 #: The canonical disabled registry: hand this to code that requires a
 #: registry argument when telemetry is off.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-# -- active-registry plumbing (mirrors the tracer's) ----------------------
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def set_active_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Install (or clear, with None) the process-wide active registry."""
-    global _ACTIVE
-    _ACTIVE = registry
-
-
-def get_active_registry() -> Optional[MetricsRegistry]:
-    """The registry newly built machines attach to, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def collecting(registry: Optional[MetricsRegistry] = None):
-    """Scope in which every machine built records into *registry*."""
-    reg = registry if registry is not None else MetricsRegistry()
-    previous = get_active_registry()
-    set_active_registry(reg)
-    try:
-        yield reg
-    finally:
-        set_active_registry(previous)

@@ -169,33 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--faults", metavar="PATH", default=None,
         help="inject faults from a FaultPlan JSON into every "
-        "simulation run (equivalent to setting REPRO_FAULTS; the "
-        "resilience artifact builds its own plans and ignores this)",
+        "simulation run, in worker processes too (equivalent to "
+        "setting REPRO_FAULTS; the resilience artifact builds its own "
+        "plans and ignores this)",
     )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Installed as the run context below, so every machine build and
+    # sweep batch (and each batch's worker processes) sees them.
+    changes = {}
     if args.jobs is not None:
-        # Propagate via the environment so every run_samples call below
-        # (and in any worker-side nesting) picks the same job count up.
-        import os
-
-        os.environ["REPRO_JOBS"] = str(args.jobs)
+        changes["jobs"] = args.jobs
     if args.journal is not None:
-        import os
-
-        os.environ["REPRO_JOURNAL"] = args.journal
+        changes["journal_dir"] = args.journal
     if args.faults is not None:
-        # Same propagation trick: machine builds (local and in worker
-        # processes) resolve REPRO_FAULTS when no explicit plan is set.
-        import os
-
         from repro.faults import FaultPlan
 
-        FaultPlan.from_json(args.faults)  # fail fast on a bad plan
-        os.environ["REPRO_FAULTS"] = args.faults
+        changes["faults"] = FaultPlan.from_json(args.faults)
     names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
 
     failures = []
@@ -230,7 +223,10 @@ def main(argv=None) -> int:
 
     from contextlib import ExitStack
 
+    from repro.context import using
+
     with ExitStack() as stack:
+        stack.enter_context(using(**changes))
         tracer = None
         registry = None
         if args.trace:

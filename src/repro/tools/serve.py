@@ -63,9 +63,8 @@ def _read_json(path: str) -> Optional[dict]:
 class _StatusWriter:
     """Progress hook: mirrors scheduler stats into ``status.json``.
 
-    Installed process-wide (see
-    :func:`repro.service.scheduler.set_progress_hook`) so every nested
-    ``run_samples`` batch under the daemon reports in.  Writes are
+    Installed as the run context's ``progress`` callback so every
+    nested ``run_samples`` batch under the daemon reports in.  Writes are
     atomic and throttled; a batch's final state (all jobs accounted
     for) is always flushed so ``status`` never undercounts a finished
     cell by more than the throttle window.
@@ -178,65 +177,63 @@ def _run(args) -> int:
     os.makedirs(state_dir, exist_ok=True)
     _check_manifest(state_dir, names, args.scale, args.seed)
 
-    os.environ["REPRO_JOURNAL"] = state_dir
-    if args.serial:
-        os.environ["REPRO_JOBS"] = "1"
-    elif args.jobs is not None:
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.job_timeout is not None:
-        os.environ["REPRO_JOB_TIMEOUT"] = str(args.job_timeout)
-    if args.max_retries is not None:
-        os.environ["REPRO_JOB_RETRIES"] = str(args.max_retries)
+    from repro.context import using
 
-    from repro.service.scheduler import set_progress_hook
+    changes = {"journal_dir": state_dir}
+    if args.serial:
+        changes["jobs"] = 1
+    elif args.jobs is not None:
+        changes["jobs"] = args.jobs
+    if args.job_timeout is not None:
+        changes["job_timeout"] = args.job_timeout
+    if args.max_retries is not None:
+        changes["job_retries"] = args.max_retries
 
     status = _StatusWriter(state_dir)
     status.flush(state="running")
-    set_progress_hook(status)
 
     out: Dict[str, dict] = {}
     failures: List[str] = []
     code = 0
     try:
-        for name in names:
-            status.artifact = name
-            status.flush()
-            print(f"[serve] {name} @ {args.scale}, seed {args.seed} ...",
-                  flush=True)
-            start = time.time()
-            try:
-                result = ARTIFACTS[name](
-                    Scale.parse(args.scale), args.seed
-                )
-            except Exception as exc:
-                failures.append(f"{name}: {exc}")
-                out[name] = {"ok": False, "error": str(exc)}
-                print(f"[serve] {name}: FAILED\n{exc}", file=sys.stderr,
+        with using(progress=status, **changes):
+            for name in names:
+                status.artifact = name
+                status.flush()
+                print(f"[serve] {name} @ {args.scale}, seed {args.seed} ...",
                       flush=True)
-                if args.fail_fast:
+                start = time.time()
+                try:
+                    result = ARTIFACTS[name](
+                        Scale.parse(args.scale), args.seed
+                    )
+                except Exception as exc:
+                    failures.append(f"{name}: {exc}")
+                    out[name] = {"ok": False, "error": str(exc)}
+                    print(f"[serve] {name}: FAILED\n{exc}", file=sys.stderr,
+                          flush=True)
+                    if args.fail_fast:
+                        break
+                    continue
+                elapsed = time.time() - start
+                degraded = artifact_failures(result)
+                failures.extend(f"{name}: {d}" for d in degraded)
+                to_dict = getattr(result, "to_dict", None)
+                out[name] = {
+                    "ok": not degraded,
+                    "elapsed": round(elapsed, 3),
+                    "degraded_cells": degraded,
+                    "data": to_dict() if callable(to_dict) else None,
+                }
+                print(result.render(), flush=True)
+                print(f"[serve] {name}: done in {elapsed:.1f}s", flush=True)
+                if degraded and args.fail_fast:
                     break
-                continue
-            elapsed = time.time() - start
-            degraded = artifact_failures(result)
-            failures.extend(f"{name}: {d}" for d in degraded)
-            to_dict = getattr(result, "to_dict", None)
-            out[name] = {
-                "ok": not degraded,
-                "elapsed": round(elapsed, 3),
-                "degraded_cells": degraded,
-                "data": to_dict() if callable(to_dict) else None,
-            }
-            print(result.render(), flush=True)
-            print(f"[serve] {name}: done in {elapsed:.1f}s", flush=True)
-            if degraded and args.fail_fast:
-                break
     except KeyboardInterrupt:
         status.flush(state="interrupted")
         print("[serve] interrupted; journal is resumable — rerun the "
               "same command to continue", file=sys.stderr)
         return 130
-    finally:
-        set_progress_hook(None)
 
     code = 1 if failures else 0
     status.flush(

@@ -15,31 +15,26 @@ Tracing is opt-in and zero-cost when off: instrumentation sites check
 tracer, and a constructed-but-disabled tracer's record methods return
 immediately without allocating.
 
-The *active tracer* registry lets a harness switch tracing on for every
-machine built inside a scope without threading a tracer argument
-through every figure and benchmark::
+The run context lets a harness switch tracing on for every machine
+built inside a scope without threading a tracer argument through every
+figure and benchmark::
 
-    with tracing(Tracer()) as t:
+    with using(tracer=Tracer()) as ctx:
         result = fig6.run("smoke")
-    chrome.export(t.events, "trace.json")
+    chrome.export(ctx.tracer.events, "trace.json")
 
-:meth:`repro.machines.base.MachineSpec.build` consults the registry.
+:meth:`repro.machines.base.MachineSpec.build` consults
+:func:`repro.context.current`.
 """
 
 from repro.trace.tracer import (
     TraceEvent,
     Tracer,
     check_well_formed,
-    get_active_tracer,
-    set_active_tracer,
-    tracing,
 )
 
 __all__ = [
     "TraceEvent",
     "Tracer",
     "check_well_formed",
-    "get_active_tracer",
-    "set_active_tracer",
-    "tracing",
 ]

@@ -44,9 +44,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "check_well_formed",
-    "get_active_tracer",
-    "set_active_tracer",
-    "tracing",
 ]
 
 
@@ -309,29 +306,3 @@ def check_well_formed(
                     f"B {ev.name!r} at t={ev.ts} on {key} never closed"
                 )
     return errors
-
-
-# -- active-tracer registry ----------------------------------------------
-_ACTIVE: Optional[Tracer] = None
-
-
-def set_active_tracer(tracer: Optional[Tracer]) -> None:
-    """Install (or clear, with None) the process-wide active tracer."""
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-def get_active_tracer() -> Optional[Tracer]:
-    """The tracer newly built machines attach to, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def tracing(tracer: Tracer):
-    """Scope in which every machine built picks up *tracer*."""
-    previous = get_active_tracer()
-    set_active_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_active_tracer(previous)

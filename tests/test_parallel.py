@@ -9,6 +9,8 @@ serial fallback, and the tracer merge.
 
 import os
 import pickle
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -17,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.context import current, using
 from repro.harness.experiment import sample_seed
 from repro.harness.parallel import parallel_map, resolve_jobs, run_samples
-from repro.trace import TraceEvent, Tracer, tracing
+from repro.trace import TraceEvent, Tracer
 
 
 def _echo_seed(seed: int) -> int:
@@ -34,9 +37,7 @@ def _simulate(seed: int) -> tuple:
 
 
 def _traced_sample(seed: int) -> int:
-    from repro.trace import get_active_tracer
-
-    t = get_active_tracer()
+    t = current().tracer
     if t is not None:
         t.instant("sample", cat="test", pid="test", tid=f"seed {seed}")
     return seed
@@ -131,8 +132,9 @@ class TestParallelMap:
             assert parallel_map(fn, [1, 2], jobs=2) == [1, 2]
 
     def test_tracer_collects_worker_events_in_sample_order(self):
-        with tracing(Tracer()) as t:
+        with using(tracer=Tracer()) as ctx:
             parallel_map(_traced_sample, [10, 11, 12], jobs=2)
+        t = ctx.tracer
         names = [(e.tid, e.run) for e in t.events if e.name == "sample"]
         # One run per sample, in submission order, distinct run indices.
         assert names == [("seed 10", 0), ("seed 11", 1), ("seed 12", 2)]
@@ -236,6 +238,33 @@ class TestFaultedRunsParallel:
         assert out == [True, True]
         assert parallel_map(_machine_has_faults, [0], jobs=1) == [False]
 
+    def test_installed_plan_reaches_spawned_workers(self):
+        """A plan installed with ``using`` reaches workers whatever the
+        start method: under ``spawn`` no module state or environment
+        carries it, only the context the scheduler sends."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import multiprocessing\n"
+            "from repro.context import using\n"
+            "from repro.faults import two_ost_failure_plan\n"
+            "from repro.harness.parallel import parallel_map\n"
+            "from tests.test_parallel import _machine_has_faults\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "with using(faults=two_ost_failure_plan()):\n"
+            "    print(parallel_map(_machine_has_faults, [0, 1], jobs=2))\n"
+        )
+        env = dict(os.environ)
+        env.pop("REPRO_FAULTS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[True, True]"
+
 
 def _machine_has_faults(seed: int) -> bool:
     from repro.machines import jaguar
@@ -269,12 +298,13 @@ class TestTelemetryParallel:
         sampler never splits a cache-integration step, so every float
         in the result is unchanged — with a live registry, a disabled
         one, or none at all."""
-        from repro.telemetry import MetricsRegistry, collecting
+        from repro.telemetry import MetricsRegistry
 
         plain = _metered_cell(7)
-        with collecting(MetricsRegistry()) as reg:
+        reg = MetricsRegistry()
+        with using(metrics=reg):
             metered = _metered_cell(7)
-        with collecting(MetricsRegistry(enabled=False)):
+        with using(metrics=MetricsRegistry(enabled=False)):
             disabled = _metered_cell(7)
         assert len(reg) > 0  # telemetry actually collected something
         # == on floats, not approx: the contract is bit-equality.
@@ -285,11 +315,12 @@ class TestTelemetryParallel:
         """Workers collect into their own registries; the parent
         absorbs them in submission order.  Results stay bit-identical
         and the merged totals equal the serial ones."""
-        from repro.telemetry import MetricsRegistry, collecting
+        from repro.telemetry import MetricsRegistry
 
-        with collecting(MetricsRegistry()) as reg_serial:
+        reg_serial, reg_par = MetricsRegistry(), MetricsRegistry()
+        with using(metrics=reg_serial):
             serial = run_samples(_metered_cell, 2, base_seed=3, jobs=1)
-        with collecting(MetricsRegistry()) as reg_par:
+        with using(metrics=reg_par):
             parallel = run_samples(_metered_cell, 2, base_seed=3, jobs=2)
         assert serial == parallel
         assert reg_serial.n_runs == reg_par.n_runs == 2

@@ -27,7 +27,6 @@ from repro.qos import (
     TokenBucketArray,
     jain_index,
     run_tenants,
-    with_qos,
 )
 
 
@@ -188,24 +187,14 @@ def test_contract_count_must_match_jobs():
         run_tenants(m, _jobs(), qos=cfg)
 
 
-def test_machine_carries_ambient_qos_config():
-    from repro.machines import jaguar
-
-    cfg = _config([1e6, 1e6], [np.inf, np.inf])
-    with with_qos(cfg):
-        m = jaguar(n_osts=4).build(n_ranks=8, seed=0)
-    assert m.qos is cfg
-    r = run_tenants(m, _jobs())  # picked up from machine.qos
-    assert r.qos is not None and r.qos["ticks"] > 0
-
-
 def test_rank_faults_rejected_in_multitenant_runs():
-    from repro.faults import FaultEvent, FaultPlan, with_faults
+    from repro.context import using
+    from repro.faults import FaultEvent, FaultPlan
 
     plan = FaultPlan(
         events=(FaultEvent(time=0.1, kind="crash_rank", target=0),)
     )
-    with with_faults(plan):
+    with using(faults=plan):
         m = _machine()
         with pytest.raises(ConfigurationError):
             run_tenants(m, _jobs())
@@ -260,7 +249,7 @@ def test_tenant_sweep_parallel_serial_bit_identical():
         victim_mb=24.0,
         aggressor_ranks=8,
         aggressor_mb=24.0,
-        with_faults_check=True,
+        fault_check=True,
     )
     serial = run_samples(cell, 2, base_seed=3, jobs=1, label="qos-serial")
     fanned = run_samples(cell, 2, base_seed=3, jobs=2, label="qos-fanned")

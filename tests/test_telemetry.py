@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.apps import AppKernel, Variable
+from repro.context import using
 from repro.core.transports import AdaptiveTransport
 from repro.machines import jaguar
 from repro.telemetry import (
@@ -22,8 +23,6 @@ from repro.telemetry import (
     OnlineMonitor,
     Profiler,
     StragglerDetector,
-    collecting,
-    get_active_registry,
     profiling,
     render_dashboard,
 )
@@ -174,21 +173,12 @@ class TestPrometheus:
 
 
 class TestActiveRegistry:
-    def test_collecting_scopes_the_active_registry(self):
-        assert get_active_registry() is None
-        with collecting() as reg:
-            assert get_active_registry() is reg
-            with collecting(NULL_REGISTRY):
-                assert get_active_registry() is NULL_REGISTRY
-            assert get_active_registry() is reg
-        assert get_active_registry() is None
-
     def test_machine_build_attaches_active_registry(self):
-        with collecting() as reg:
+        with using(metrics=MetricsRegistry()) as ctx:
             m = jaguar(n_osts=4).build(n_ranks=4, seed=0)
-        assert m.metrics is reg
+        assert m.metrics is ctx.metrics
         assert m.monitor is not None
-        assert m.env.metrics is reg
+        assert m.env.metrics is ctx.metrics
         # Outside the scope, builds are bare again.
         m2 = jaguar(n_osts=4).build(n_ranks=4, seed=0)
         assert m2.metrics is None and m2.monitor is None
@@ -318,7 +308,7 @@ class TestOnlineMonitor:
 
     def test_settle_mode_records_ambiently_during_run(self):
         reg = MetricsRegistry()
-        with collecting(reg):
+        with using(metrics=reg):
             m = jaguar(n_osts=4).build(n_ranks=8, seed=0)
         # A run long enough to cross several sampling intervals.
         AdaptiveTransport(n_osts_used=4).run(

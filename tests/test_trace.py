@@ -14,12 +14,7 @@ import pytest
 from repro.apps import AppKernel, Variable
 from repro.core.transports import AdaptiveTransport, MpiIoTransport
 from repro.machines import jaguar
-from repro.trace import (
-    Tracer,
-    check_well_formed,
-    get_active_tracer,
-    tracing,
-)
+from repro.trace import Tracer, check_well_formed
 from repro.trace import chrome
 from repro.trace.counters import PHASES, per_writer_counters, render_report
 from repro.units import MB
@@ -77,13 +72,6 @@ class TestTracerCore:
         with tr.span("s", cat="t", pid="p", tid="t"):
             pass
         assert len(tr) == 0
-
-    def test_active_tracer_scoping(self):
-        assert get_active_tracer() is None
-        tr = Tracer()
-        with tracing(tr):
-            assert get_active_tracer() is tr
-        assert get_active_tracer() is None
 
 
 class TestAdaptiveRoundTrip:
