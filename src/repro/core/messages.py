@@ -88,7 +88,7 @@ class IndexBody:
 
     source_rank: int
     target_group: int
-    entries: tuple  # tuple of IndexEntry
+    blocks: object  # the write's WriterBlocks record
     epoch: int = 0
 
 

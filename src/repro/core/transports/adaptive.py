@@ -26,11 +26,12 @@ SCs, and at most ``n_groups - 1`` adaptive writes are in flight.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.groups import GroupMap
-from repro.core.index import GlobalIndex, LocalIndex
+from repro.core.index import GlobalIndex, LocalIndex, WriterBlocks
 from repro.core.integrity import verify_stored
 from repro.core.messages import (
     TAG_ADOPTED_BASE,
@@ -82,6 +83,62 @@ _WRITING, _BUSY, _COMPLETE = "writing", "busy", "complete"
 _BOUNDARY_TOL = 1e-3  # bytes
 
 
+class _GroupStates:
+    """The coordinator's view of every group, and its steering cursor.
+
+    Groups start WRITING.  :meth:`next_writing` answers Algorithm 3's
+    "next writing group, round-robin" in O(log G): the WRITING groups
+    are kept in a sorted list and found with ``bisect`` from the
+    cursor, visiting groups in exactly the order of a linear scan
+    ``cursor, cursor + 1, ...`` (mod G).  A completion count makes
+    :attr:`all_complete` O(1).
+    """
+
+    __slots__ = ("n_groups", "_state", "_writing", "_n_complete",
+                 "_cursor")
+
+    def __init__(self, n_groups: int):
+        self.n_groups = n_groups
+        self._state = [_WRITING] * n_groups
+        self._writing = list(range(n_groups))  # ascending
+        self._n_complete = 0
+        self._cursor = 0
+
+    def __getitem__(self, g: int) -> str:
+        return self._state[g]
+
+    def __setitem__(self, g: int, new: str) -> None:
+        old = self._state[g]
+        if old == new:
+            return
+        if old == _WRITING:
+            del self._writing[bisect_left(self._writing, g)]
+        elif old == _COMPLETE:
+            self._n_complete -= 1
+        if new == _WRITING:
+            insort(self._writing, g)
+        elif new == _COMPLETE:
+            self._n_complete += 1
+        self._state[g] = new
+
+    @property
+    def all_complete(self) -> bool:
+        return self._n_complete == self.n_groups
+
+    def next_writing(self, exclude: int) -> Optional[int]:
+        """The first WRITING group other than *exclude* at or after the
+        cursor (wrapping); advances the cursor past it."""
+        writing = self._writing
+        n = len(writing)
+        i = bisect_left(writing, self._cursor)
+        for j in range(i, i + min(n, 2)):
+            g = writing[j % n]
+            if g != exclude:
+                self._cursor = (g + 1) % self.n_groups
+                return g
+        return None
+
+
 class _GroupStream:
     """One group's serialized member pipeline on its OST.
 
@@ -117,7 +174,8 @@ class _GroupStream:
     :class:`~repro.core.transports.base.WriterTiming`, and finally a
     ``notify(rank, outcome)`` callback the owning cohort uses to
     account the completion messages synchronously.  Outcomes
-    are ``("done", t_start, t_end, offset)`` for members written
+    are ``("done", t_start, t_end, blocks)`` (the member's
+    :class:`~repro.core.index.WriterBlocks`) for members written
     locally and ``("stolen", target_group, offset)`` for members
     steered away.
     """
@@ -318,6 +376,7 @@ class _GroupStream:
     ) -> None:
         offset = idx * self.nbytes
         node = self.machine.node_of(rank)
+        blocks = WriterBlocks(self.app, rank, offset)
         self.fs.record_aggregated_write(
             self.f,
             node,
@@ -326,7 +385,7 @@ class _GroupStream:
             t_start,
             t_end,
             writer=rank,
-            blocks=self.app.data_blocks(rank, offset),
+            blocks=blocks,
         )
         if self.traced:
             tr = self.tracer
@@ -360,7 +419,7 @@ class _GroupStream:
             target_group=self.g,
             adaptive=False,
         )
-        self.notify(rank, ("done", t_start, t_end, offset))
+        self.notify(rank, ("done", t_start, t_end, blocks))
 
 
 class AdaptiveTransport(Transport):
@@ -497,9 +556,7 @@ class AdaptiveTransport(Transport):
         comm = SimComm(env, n_ranks, latency=machine.spec.latency)
         comm.faults = faults
         nbytes = app.per_process_bytes
-        index_nbytes = float(
-            sum(e.serialized_bytes for e in app.index_entries(0, 0.0))
-        )
+        index_nbytes = app.index_entry_bytes
         # Control-plane flight times for the messages the cohorts fold
         # away, so their bookkeeping lands at the real arrival instants:
         # `hop` is one 64-byte control message, `idx_hop` an index body
@@ -662,13 +719,14 @@ class AdaptiveTransport(Transport):
                     args={"nbytes": float(nbytes), "target_group": target,
                           "offset": float(offset), "adaptive": True},
                 )
+            blocks = WriterBlocks(app, rank, offset)
             yield from fs.write(
                 files[target],
                 node=node,
                 offset=offset,
                 nbytes=nbytes,
                 writer=rank,
-                blocks=app.data_blocks(rank, offset),
+                blocks=blocks,
                 tenant=tenant,
             )
             end = env.now
@@ -691,11 +749,10 @@ class AdaptiveTransport(Transport):
                 adaptive=True,
             )
             comm.send(rank, sc_rank[target], wc, tag=TAG_SC)
-            entries = tuple(app.index_entries(rank, offset))
             comm.send(
                 rank,
                 sc_rank[target],
-                IndexBody(rank, target, entries),
+                IndexBody(rank, target, blocks),
                 tag=TAG_SC,
                 nbytes=index_nbytes,
             )
@@ -760,11 +817,11 @@ class AdaptiveTransport(Transport):
 
             def on_member(rank: int, outcome) -> None:
                 if outcome[0] == "done":
-                    _kind, _t_start, t_end, offset = outcome
+                    _kind, _t_start, t_end, blocks = outcome
                     state["last_arrival"] = max(
                         state["last_arrival"], t_end + hop, t_end + idx_hop
                     )
-                    local_index.add(tuple(app.index_entries(rank, offset)))
+                    local_index.add(blocks)
                     env.schedule_callback(hop, local_wc_arrived)
                 else:
                     _kind, target, offset = outcome
@@ -827,7 +884,7 @@ class AdaptiveTransport(Transport):
                             # its index body is inbound.
                             state["missing_foreign"] += 1
                     elif isinstance(p, IndexBody):
-                        local_index.add(p.entries)
+                        local_index.add(p.blocks)
                         state["missing_foreign"] -= 1
                     elif isinstance(p, AdaptiveWriteStart):
                         if not stream.has_stealable:
@@ -1021,11 +1078,11 @@ class AdaptiveTransport(Transport):
                     if ws.target_group != g:
                         comm.send(rank, sc_rank[ws.target_group], wc,
                                   tag=sc_tag[ws.target_group])
-                    entries = tuple(app.index_entries(rank, ws.offset))
                     comm.send(
                         rank,
                         sc_rank[ws.target_group],
-                        IndexBody(rank, ws.target_group, entries,
+                        IndexBody(rank, ws.target_group,
+                                  WriterBlocks(app, rank, ws.offset),
                                   epoch=ws.epoch),
                         tag=sc_tag[ws.target_group],
                         nbytes=index_nbytes,
@@ -1204,7 +1261,7 @@ class AdaptiveTransport(Transport):
                         comm.send(me, coord, p, tag=TAG_COORD)
                 elif isinstance(p, IndexBody):
                     if p.epoch == epoch:
-                        local_index.add(p.entries)
+                        local_index.add(p.blocks)
                         missing_indices -= 1
                     # Stale bodies are dropped: the write is being
                     # redone against the current incarnation anyway.
@@ -1252,7 +1309,7 @@ class AdaptiveTransport(Transport):
 
         # ---------------- Coordinator role (Algorithm 3) -------------------
         # State is hoisted so the SC-liveness monitor (same rank) shares it.
-        state: Dict[int, str] = {}
+        state = _GroupStates(n_groups)
         cursor: Dict[int, float] = {}
         in_flight: Dict[int, bool] = {}
         target_epoch: Dict[int, int] = {}
@@ -1266,29 +1323,19 @@ class AdaptiveTransport(Transport):
         def coord_proc():
             yield files_ready
             for g in range(n_groups):
-                state[g] = _WRITING
                 target_epoch[g] = 0
                 last_seen[g] = env.now
-            rr = [0]  # round-robin cursor over writing SCs
-
-            def next_writing_sc(exclude: int) -> Optional[int]:
-                for step in range(n_groups):
-                    g = (rr[0] + step) % n_groups
-                    if g != exclude and state[g] == _WRITING:
-                        rr[0] = (g + 1) % n_groups
-                        return g
-                return None
 
             def try_schedule(target: int) -> None:
                 if not self.steering:
                     return
                 if in_flight.get(target):
                     return
-                if target in poisoned or state.get(target) != _COMPLETE:
+                if target in poisoned or state[target] != _COMPLETE:
                     return
                 if not self._steer_target_ok(target):
                     return
-                g = next_writing_sc(exclude=target)
+                g = state.next_writing(exclude=target)
                 if g is None:
                     return
                 epoch = target_epoch.get(target, 0)
@@ -1316,8 +1363,7 @@ class AdaptiveTransport(Transport):
 
             def finished() -> bool:
                 return (
-                    all(s == _COMPLETE for s in state.values())
-                    and coord_flags["outstanding"] == 0
+                    state.all_complete and coord_flags["outstanding"] == 0
                 )
 
             def dispatch(p) -> None:

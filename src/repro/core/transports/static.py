@@ -33,7 +33,7 @@ from typing import (
 )
 
 from repro.core.groups import GroupMap
-from repro.core.index import GlobalIndex
+from repro.core.index import GlobalIndex, IndexEntries, WriterBlocks
 from repro.core.transports.base import (
     OutputResult,
     Transport,
@@ -153,7 +153,7 @@ class _StaticTransport(Transport):
                 yield from fs.write(
                     created[i], node=node, offset=offset, nbytes=nbytes,
                     writer=rank, timeout=write_timeout,
-                    blocks=app.data_blocks(rank, offset), tenant=tenant,
+                    blocks=WriterBlocks(app, rank, offset), tenant=tenant,
                 )
             except (OstFailedError, WriteTimeout) as exc:
                 # Recorded, never raised: the process survives so the
@@ -254,8 +254,10 @@ class _StaticTransport(Transport):
                 for i, ranks in enumerate(ranks_by_file()):
                     # Only ranks whose data landed; a file that none of
                     # them reached stays out of the index.
-                    entries = [e for r in ranks if timings[r] is not None
-                               for e in app.index_entries(r, place(r)[1])]
+                    entries = IndexEntries(
+                        WriterBlocks(app, r, place(r)[1])
+                        for r in ranks if timings[r] is not None
+                    )
                     if entries:
                         index.add_file(paths[i], entries)
                         created[i].attach_local_index(entries)

@@ -65,10 +65,16 @@ class SimFile:
     create_time: float = 0.0
     writes: List[WriteRecord] = field(default_factory=list)
     payloads: Dict[Tuple[float, float], object] = field(default_factory=dict)
-    blocks: Dict[Tuple[float, float], StoredBlock] = field(
-        default_factory=dict
-    )
     closed: bool = False
+    _blocks: Dict[Tuple[float, float], StoredBlock] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    # Blocks recorded at write completion but not built yet, in store
+    # order: (source with data_blocks(), seq before its first block,
+    # writer).
+    _deferred: List[tuple] = field(
+        default_factory=list, init=False, repr=False
+    )
 
     @property
     def size(self) -> float:
@@ -100,11 +106,38 @@ class SimFile:
         this is what index rebuild (fsck) recovers the global index
         from when the master index is lost.  Transports that pay
         simulated time for the index write do so separately — this
-        only records the metadata content.
+        only records the metadata content.  *entries* is a read-only
+        sequence, stored as given.
         """
-        self.payloads[("local_index", self.path)] = (
-            "local_index", tuple(entries),
-        )
+        self.payloads[("local_index", self.path)] = ("local_index", entries)
+
+    @property
+    def blocks(self) -> Dict[Tuple[float, float], StoredBlock]:
+        """``(offset, nbytes) -> StoredBlock``, deferred blocks built."""
+        if self._deferred:
+            deferred, self._deferred = self._deferred, []
+            for source, seq, writer in deferred:
+                for offset, nbytes, checksum in source.data_blocks():
+                    seq += 1
+                    self._blocks[(offset, nbytes)] = StoredBlock(
+                        offset=offset,
+                        nbytes=nbytes,
+                        checksum=checksum,
+                        valid_bytes=float(nbytes),
+                        seq=seq,
+                        writer=writer,
+                    )
+        return self._blocks
+
+    def defer_blocks(self, source, seq: int, writer: Optional[int]) -> None:
+        """Record a write's blocks, to be built on first read.
+
+        ``source.data_blocks()`` gives the ``(offset, nbytes,
+        checksum)`` triples; they take store sequence numbers
+        ``seq + 1``, ``seq + 2``, ... and land behind every block
+        recorded before them, as :meth:`store_block` calls would.
+        """
+        self._deferred.append((source, seq, writer))
 
     def store_block(
         self,
@@ -136,7 +169,8 @@ class SimFile:
 
     def stored_blocks(self) -> List[StoredBlock]:
         """Every stored data block, in (offset, nbytes) order."""
-        return [self.blocks[k] for k in sorted(self.blocks)]
+        blocks = self.blocks
+        return [blocks[k] for k in sorted(blocks)]
 
     def extents(self) -> List[Tuple[float, float]]:
         """(offset, nbytes) of every write, in completion order."""

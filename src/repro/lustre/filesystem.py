@@ -269,6 +269,10 @@ class FileSystem:
         scrubbing and read-back verification inspect.  Blocks are
         registered only if the write completes: a failed write leaves
         no stored state, and a rewrite replaces the previous blocks.
+        ``blocks`` may also be a deferred source — an object with
+        ``n_blocks`` and ``data_blocks()`` returning those triples
+        (:class:`~repro.core.index.WriterBlocks`) — whose blocks are
+        built on first read.
 
         ``tenant`` tags the write's fabric flows for the QoS control
         plane (-1 = untagged, never rate-limited).
@@ -360,15 +364,7 @@ class FileSystem:
             self._m_write_seconds.observe(self.env.now - start)
         f.record_write(record, payload=payload)
         if blocks:
-            stored = []
-            for boff, bnb, cksum in blocks:
-                self._store_seq += 1
-                stored.append(
-                    f.store_block(boff, bnb, cksum, self._store_seq,
-                                  writer=writer)
-                )
-            if self.corrupt_hook is not None:
-                self.corrupt_hook(f, stored)
+            self._store_blocks(f, blocks, writer)
         return record
 
     def record_aggregated_write(
@@ -388,11 +384,11 @@ class FileSystem:
         The batched adaptive protocol moves a whole group's data as one
         fabric flow; individual members' segments are accounted here
         when their boundary inside the stream is crossed.  This is the
-        bookkeeping tail of :meth:`write` — record, metrics, stored
-        blocks, corruption hook, and the traced ``ost.service`` span at
-        the member's actual (possibly past) start/end instants — with
-        no fabric interaction: the carrying flow already moved the
-        bytes.
+        bookkeeping tail of :meth:`write` — record, metrics, stored (or
+        deferred) blocks, corruption hook, and the traced
+        ``ost.service`` span at the member's actual (possibly past)
+        start/end instants — with no fabric interaction: the carrying
+        flow already moved the bytes.
         """
         tr = self.env.tracer
         if tr is not None and tr.enabled:
@@ -422,16 +418,31 @@ class FileSystem:
             self._m_write_seconds.observe(end_time - start_time)
         f.record_write(record, payload=payload)
         if blocks:
-            stored = []
-            for boff, bnb, cksum in blocks:
-                self._store_seq += 1
-                stored.append(
-                    f.store_block(boff, bnb, cksum, self._store_seq,
-                                  writer=writer)
-                )
-            if self.corrupt_hook is not None:
-                self.corrupt_hook(f, stored)
+            self._store_blocks(f, blocks, writer)
         return record
+
+    def _store_blocks(self, f: SimFile, blocks, writer: Optional[int]) -> None:
+        """Register a completed write's blocks (see :meth:`write`).
+
+        A deferred source is only recorded — its blocks are built on
+        first read, with the sequence numbers they would have taken
+        now — unless a corruption hook is armed: the hook needs the
+        stored objects at store time.
+        """
+        if hasattr(blocks, "data_blocks"):
+            if self.corrupt_hook is None:
+                f.defer_blocks(blocks, self._store_seq, writer)
+                self._store_seq += blocks.n_blocks
+                return
+            blocks = blocks.data_blocks()
+        stored = []
+        for boff, bnb, cksum in blocks:
+            self._store_seq += 1
+            stored.append(
+                f.store_block(boff, bnb, cksum, self._store_seq, writer=writer)
+            )
+        if self.corrupt_hook is not None:
+            self.corrupt_hook(f, stored)
 
     def _withdraw_flows(self, fids: List[int]) -> float:
         """Cancel whichever of *fids* are still in flight; bytes undelivered."""

@@ -150,8 +150,11 @@ class TestGlobalIndex:
 
     def test_duplicate_file_rejected(self):
         gi = self.make()
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^duplicate file '/d/0.bp' in global index$"
+        ):
             gi.add_file("/d/0.bp", [])
+        assert gi.files == ["/d/0.bp", "/d/1.bp"]
 
     def test_value_range_query_prunes(self):
         gi = self.make()
