@@ -2,8 +2,8 @@
 
 A :class:`RunContext` carries the settings that machine builds and
 sweep batches share: the tracer, the metrics registry, the fault plan,
-the sweep journal directory, the worker count, the per-job timeout and
-retry cap, and the scheduler's progress callback.
+the sweep journal directory, the worker count, and the per-job timeout
+and retry cap.
 
 Each value is resolved by one rule: an explicit argument at the call
 site, else the context installed by the innermost :func:`using` block,
@@ -24,11 +24,10 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults import FaultPlan
-    from repro.service.scheduler import SchedulerStats
     from repro.telemetry import MetricsRegistry
     from repro.trace.tracer import Tracer
 
@@ -51,7 +50,6 @@ class RunContext:
     jobs: int = 1
     job_timeout: Optional[float] = None
     job_retries: Optional[int] = None
-    progress: Optional[Callable[["SchedulerStats"], None]] = None
 
     @classmethod
     def from_env(cls) -> "RunContext":

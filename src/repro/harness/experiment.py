@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from enum import Enum
-from typing import Callable, List, TypeVar
 
 from repro.context import using
 
@@ -14,13 +13,10 @@ __all__ = [
     "metrics_to",
     "n_samples_override",
     "resolve_preset",
-    "run_samples",
     "scale_from_env",
     "sample_seed",
     "trace_to",
 ]
-
-T = TypeVar("T")
 
 
 class Scale(str, Enum):
@@ -98,33 +94,6 @@ def n_samples_override(default: int) -> int:
     if n < 1:
         raise ValueError(f"REPRO_SAMPLES must be >= 1, got {n}")
     return n
-
-
-def run_samples(
-    fn: Callable[[int], T],
-    n_samples: int,
-    base_seed: int = 0,
-    jobs: "int | None" = None,
-    label: "str | None" = None,
-) -> List[T]:
-    """Run ``fn(seed)`` for each of *n_samples* derived seeds.
-
-    Every sample builds its own machine from its seed, so samples are
-    statistically independent, individually reproducible — and safe to
-    fan out over worker processes: with ``jobs`` (or the run
-    context's) above 1 this delegates to :mod:`repro.harness.parallel`
-    and the :mod:`repro.service` scheduler, whose results are bit-for-bit
-    identical to serial execution (including across worker deaths,
-    retries, and journal resume — see DESIGN.md §14).  *fn* must then
-    be picklable (module-level function or ``functools.partial``);
-    anything else falls back to serial with a ``RuntimeWarning``.
-    *label* names the sweep cell in journals and failure messages.
-    """
-    from repro.harness.parallel import run_samples as _parallel_run_samples
-
-    return _parallel_run_samples(
-        fn, n_samples, base_seed, jobs=jobs, label=label
-    )
 
 
 @contextmanager

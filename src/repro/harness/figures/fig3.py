@@ -23,8 +23,8 @@ from repro.harness.experiment import (
     Scale,
     n_samples_override,
     resolve_preset,
-    run_samples,
 )
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 from repro.interference import install_production_noise
 from repro.ior import IorConfig, run_ior

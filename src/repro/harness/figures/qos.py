@@ -39,8 +39,8 @@ from repro.harness.experiment import (
     Scale,
     n_samples_override,
     resolve_preset,
-    run_samples,
 )
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 
 __all__ = ["run", "QosResult", "MODES", "_FAULT_SLOWDOWN_TOL"]

@@ -38,8 +38,8 @@ from repro.harness.experiment import (
     Scale,
     n_samples_override,
     resolve_preset,
-    run_samples,
 )
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 
 __all__ = ["run", "ResilienceResult", "K_FAILED", "METHODS"]

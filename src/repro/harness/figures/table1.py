@@ -28,8 +28,8 @@ from repro.harness.experiment import (
     Scale,
     n_samples_override,
     resolve_preset,
-    run_samples,
 )
+from repro.harness.parallel import run_samples
 from repro.harness.report import format_table
 from repro.interference import (
     BackgroundWriterJob,

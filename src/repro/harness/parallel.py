@@ -26,10 +26,11 @@ else ``using(jobs=..., journal_dir=..., job_timeout=...,
 job_retries=...)``, else ``REPRO_JOBS`` (``0`` means "all cores"),
 ``REPRO_JOURNAL``, ``REPRO_JOB_TIMEOUT`` and ``REPRO_JOB_RETRIES``.
 ``--jobs N`` and ``--journal DIR`` on ``repro.tools.experiment``
-(``--state-dir`` on ``repro.tools.serve``) install them with
-``using``; the benchmark suite's flags set the variables.  With a
-journal active even serial execution routes through the scheduler so
-every completed cell survives a crash.
+install them with ``using``; the benchmark suite's flags set the
+variables.  With a journal active even serial execution routes through
+the scheduler so every completed cell survives a crash; the journal is
+also the sweep's only progress record (``python -m repro.tools.serve
+status --state-dir DIR`` renders it).
 
 Every job runs under the caller's context, shipped to its worker
 whatever the start method, so fault plans reach spawned workers too.
@@ -94,7 +95,7 @@ def parallel_map(
     comprehension.  A non-picklable *fn* (closure, lambda, bound
     local) triggers a plain serial fallback with a ``RuntimeWarning``.
 
-    *label* names the sweep cell in journals, progress output, and
+    *label* names the sweep cell in journals, ``serve status``, and
     failure messages (falling back to the function's qualified name).
     """
     ctx = current()
@@ -135,7 +136,6 @@ def parallel_map(
         policy=policy,
         job_timeout=ctx.job_timeout,
         journal=journal_in(ctx.journal_dir) if ctx.journal_dir else None,
-        progress=ctx.progress,
     )
     return scheduler.run(specs, label=base_label)
 
@@ -149,11 +149,14 @@ def run_samples(
 ) -> List[T]:
     """Run ``fn(seed)`` for each of *n_samples* derived seeds.
 
-    The scheduled twin of the serial harness entry point: seeds come
-    from :func:`repro.harness.experiment.sample_seed` (identical
-    integers in identical order) and the output list is ordered by
-    sample index, so serial, parallel, and crash-resumed execution are
-    indistinguishable from the results.
+    The harness entry point every figure sweep uses.  Each sample
+    builds its own machine from its seed, so samples are independent
+    and individually reproducible.  Seeds come from
+    :func:`repro.harness.experiment.sample_seed` and the output list is
+    ordered by sample index, so serial, parallel, and crash-resumed
+    execution are indistinguishable from the results.  *fn* must be
+    picklable to fan out or journal (see :func:`parallel_map`); *label*
+    names the sweep cell in journals and failure messages.
     """
     from repro.harness.experiment import sample_seed
 

@@ -8,7 +8,9 @@ retry/timeout budgets and dead-worker adoption
 fsync'd JSON-lines journal (:mod:`~repro.service.journal`) so an
 interrupted sweep resumes bit-identically.  The user-facing entry
 points are :mod:`repro.harness.parallel` (which routes through this
-package) and the ``python -m repro.tools.serve`` daemon/client.
+package) and ``python -m repro.tools.experiment --journal DIR``; the
+journal is the sweep's only progress record, rendered by
+``python -m repro.tools.serve status --state-dir DIR``.
 """
 
 from repro.service.job import JobSpec, job_id, make_job, repro_command

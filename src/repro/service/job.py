@@ -13,7 +13,7 @@ process ids, or wall-clock time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Tuple
 
@@ -111,8 +111,7 @@ class JobSpec:
     """One schedulable unit of a sweep.
 
     ``sample_seed`` is carried redundantly with ``arg`` when the job is
-    a sample shard (the scheduler never interprets ``arg``); ``deps``
-    lists job ids that must be done before this job is dispatched.
+    a sample shard (the scheduler never interprets ``arg``).
     """
 
     job_id: str
@@ -120,7 +119,6 @@ class JobSpec:
     fn: Callable
     arg: Any
     sample_seed: Optional[int] = None
-    deps: Tuple[str, ...] = field(default_factory=tuple)
 
 
 def make_job(
@@ -129,7 +127,6 @@ def make_job(
     label: Optional[str] = None,
     index: Optional[int] = None,
     sample_seed: Optional[int] = None,
-    deps: Tuple[str, ...] = (),
 ) -> JobSpec:
     """Build a :class:`JobSpec` with a derived label and id.
 
@@ -149,5 +146,4 @@ def make_job(
         fn=fn,
         arg=arg,
         sample_seed=sample_seed,
-        deps=tuple(deps),
     )

@@ -25,7 +25,10 @@ Truncation tolerance: a crash can leave a half-written final line.
 :func:`replay` silently discards an unparseable **last** line; an
 unparseable line anywhere earlier stops replay at that point (the
 records after it are untrusted) with a warning.  Either way every
-checkpoint before the damage survives.
+checkpoint before the damage survives.  Reading never modifies the
+file; the first :meth:`Journal.append` cuts it back to the end of the
+last record replay kept and starts on a fresh line, so new checkpoints
+never land on a damaged tail.
 """
 
 from __future__ import annotations
@@ -86,26 +89,29 @@ def decode_result(enc: Dict[str, Any]) -> Any:
     return pickle.loads(base64.b64decode(enc["b64"]))
 
 
-def replay(path: str) -> Tuple[List[dict], int]:
-    """Parse a journal file into ``(records, n_discarded_lines)``.
+def _scan(path: str) -> Tuple[List[dict], int, int, bool]:
+    """``(records, n_discarded_lines, kept_bytes, needs_newline)``.
 
-    Missing file -> ``([], 0)``.  See the module docstring for the
-    truncation/corruption policy.
+    *kept_bytes* is the file offset just past the last kept record;
+    *needs_newline* is true when that record is the file's final line
+    and has no terminating newline.
     """
     try:
-        with io.open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        with io.open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        return [], 0
-    if lines and lines[-1] == "":
+        return [], 0, 0, False
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
     records: List[dict] = []
+    kept = 0
     for i, line in enumerate(lines):
         try:
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("journal line is not an object")
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:
             dropped = len(lines) - i
             if i < len(lines) - 1:
                 warnings.warn(
@@ -113,11 +119,24 @@ def replay(path: str) -> Tuple[List[dict], int]:
                     f"discarding it and the {dropped - 1} line(s) after "
                     "it (checkpoints before the damage survive)",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-            return records, dropped
+            return records, dropped, kept, False
         records.append(rec)
-    return records, 0
+        kept += len(line) + 1
+    if kept > len(data):  # final record has no newline
+        return records, 0, len(data), True
+    return records, 0, kept, False
+
+
+def replay(path: str) -> Tuple[List[dict], int]:
+    """Parse a journal file into ``(records, n_discarded_lines)``.
+
+    Missing file -> ``([], 0)``.  See the module docstring for the
+    truncation/corruption policy.
+    """
+    records, dropped, _, _ = _scan(path)
+    return records, dropped
 
 
 class Journal:
@@ -136,8 +155,10 @@ class Journal:
         self.failed: Dict[str, dict] = {}
         self.plans: Dict[str, int] = {}
         self.bytes_appended = 0
-        self.discarded_lines = 0
-        records, self.discarded_lines = replay(path)
+        records, self.discarded_lines, kept, self._needs_newline = \
+            _scan(path)
+        # Where the first append cuts the file back to (damaged tail).
+        self._truncate_at = kept if self.discarded_lines else None
         for rec in records:
             self._index(rec)
         self._fh: Optional[io.TextIOWrapper] = None
@@ -156,10 +177,7 @@ class Journal:
         """Durably append one record; returns bytes written."""
         line = json.dumps(rec, separators=(",", ":")) + "\n"
         if self._fh is None:
-            directory = os.path.dirname(self.path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._fh = io.open(self.path, "a", encoding="utf-8")
+            self._open()
         self._fh.write(line)
         self._fh.flush()
         if self.fsync:
@@ -168,6 +186,20 @@ class Journal:
         n = len(line.encode("utf-8"))
         self.bytes_appended += n
         return n
+
+    def _open(self) -> None:
+        """Open for appending, first cutting off any damaged tail."""
+        directory = os.path.dirname(self.path)
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        if self._truncate_at is not None:
+            with io.open(self.path, "r+b") as fh:
+                fh.truncate(self._truncate_at)
+            self._truncate_at = None
+        self._fh = io.open(self.path, "a", encoding="utf-8")
+        if self._needs_newline:
+            self._fh.write("\n")
+            self._needs_newline = False
 
     def close(self) -> None:
         if self._fh is not None:

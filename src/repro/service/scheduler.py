@@ -28,15 +28,16 @@ pipes, and the parent supervises them —
 
 A job that *raises* (as opposed to killing its worker) is treated as
 deterministic — the simulator is seeded, so the retry would fail the
-same way — and fails the batch immediately with a
-:class:`~repro.errors.JobFailure` naming the cell, the sample seed,
-and a ready-to-paste reproduction one-liner.  Pass
-``retry_errors=True`` for workloads where exceptions are transient.
+same way — and fails the batch: no new job is dispatched, the running
+ones finish, and a :class:`~repro.errors.JobFailure` names the cell,
+the sample seed, and a ready-to-paste reproduction one-liner.
 
 Each batch runs under the caller's run context
 (:func:`repro.context.current`), shipped whole to every worker minus the
-journal directory and progress callback, so a worker started by
-``spawn`` or ``forkserver`` sees the same fault plan as a forked one.
+journal directory, so a worker started by ``spawn`` or ``forkserver``
+sees the same fault plan as a forked one.  Progress is read from the
+journal (:func:`repro.service.journal.summarize`, ``python -m
+repro.tools.serve status``), not reported by the scheduler.
 
 Scheduler counters land in the context's metrics registry when one is
 collecting: ``sched.jobs_done``, ``sched.jobs_restored``,
@@ -52,7 +53,6 @@ import pickle
 import signal
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -78,15 +78,6 @@ class SchedulerStats:
     respawns: int = 0
     checkpoint_bytes: int = 0
     serial_fallback: bool = False
-    label: str = ""
-
-    def merge(self, other: "SchedulerStats") -> None:
-        for f in (
-            "jobs", "done", "failed", "restored", "retries",
-            "adoptions", "timeouts", "respawns", "checkpoint_bytes",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-        self.serial_fallback = self.serial_fallback or other.serial_fallback
 
 
 def _execute(fn: Callable, arg: Any, ctx: RunContext):
@@ -193,9 +184,7 @@ class Scheduler:
     budget in seconds (``None`` = unbounded); ``policy`` supplies the
     retry count and backoff curve (defaults to the fault subsystem's
     :class:`~repro.faults.RetryPolicy`); ``max_respawns`` bounds
-    replacement workers per batch (default ``2 * n_workers``);
-    ``progress`` is an optional callback invoked with the live
-    :class:`SchedulerStats` after every state change.
+    replacement workers per batch (default ``2 * n_workers``).
     """
 
     def __init__(
@@ -204,10 +193,7 @@ class Scheduler:
         policy=None,
         job_timeout: Optional[float] = None,
         journal: Optional[Journal] = None,
-        retry_errors: bool = False,
         max_respawns: Optional[int] = None,
-        fail_fast: bool = True,
-        progress: Optional[Callable[[SchedulerStats], None]] = None,
     ):
         if policy is None:
             from repro.faults import RetryPolicy
@@ -217,16 +203,13 @@ class Scheduler:
         self.policy = policy
         self.job_timeout = job_timeout
         self.journal = journal
-        self.retry_errors = retry_errors
         self.max_respawns = (
             2 * self.n_workers if max_respawns is None else max_respawns
         )
-        self.fail_fast = fail_fast
-        self.progress = progress
         self.stats = SchedulerStats()
         self._m: Dict[str, Any] = {}
         # Adoption events per job id, folded into the job's eventual
-        # "done" journal record so status/partial views can attribute
+        # "done" journal record so `serve status` can attribute
         # worker deaths to cells.
         self._adopted_jobs: Dict[str, int] = {}
 
@@ -250,10 +233,6 @@ class Scheduler:
         inst = self._m.get(name)
         if inst is not None:
             inst.inc(n)
-
-    def _notify(self) -> None:
-        if self.progress is not None:
-            self.progress(self.stats)
 
     # -- journal helpers ---------------------------------------------------
     def _checkpoint(self, spec: JobSpec, attempt: int, result,
@@ -338,23 +317,13 @@ class Scheduler:
         """Execute *jobs*; returns results in submission order.
 
         Raises the first :class:`~repro.errors.JobFailure` once the
-        batch has wound down (immediately stopping new dispatch when
-        ``fail_fast``, the default).
+        batch has wound down (no new job is dispatched after it).
         """
         jobs = list(jobs)
         ids = [j.job_id for j in jobs]
         if len(set(ids)) != len(ids):
             raise ConfigurationError("duplicate job ids in batch")
-        self.stats = SchedulerStats(jobs=len(jobs), label=label)
-        known = set(ids)
-        for j in jobs:
-            for dep in j.deps:
-                if dep not in known and (
-                    self.journal is None or dep not in self.journal.done
-                ):
-                    raise ConfigurationError(
-                        f"job {j.label!r} depends on unknown job {dep!r}"
-                    )
+        self.stats = SchedulerStats(jobs=len(jobs))
 
         from repro.telemetry import MetricsRegistry
         from repro.trace import Tracer
@@ -371,7 +340,7 @@ class Scheduler:
         # tracer / registry only say "instrument"; each job swaps in
         # fresh ones (see _execute).
         job_ctx = replace(
-            ctx, journal_dir=None, progress=None,
+            ctx, journal_dir=None,
             tracer=Tracer() if tracer is not None else None,
             metrics=MetricsRegistry() if registry is not None else None,
         )
@@ -389,10 +358,6 @@ class Scheduler:
             self.stats.checkpoint_bytes += n
             self._count("checkpoint_bytes", n)
 
-        # Dep satisfaction spans batches: a dep completed in an earlier
-        # batch of the same sweep is visible through the journal.
-        dep_ok = set(self.journal.done) if self.journal is not None else set()
-
         todo: List[JobSpec] = []
         for spec in jobs:
             restored = self._restore(spec)
@@ -403,18 +368,14 @@ class Scheduler:
                 self._count("restored")
             else:
                 todo.append(spec)
-        self._notify()
 
         if todo:
             if self.n_workers <= 1 or len(todo) <= 1:
                 self._run_inline(
-                    todo, results, aux, failures, job_ctx, dep_ok,
-                    degraded=False,
+                    todo, results, aux, failures, job_ctx, degraded=False
                 )
             else:
-                self._run_pool(
-                    todo, results, aux, failures, job_ctx, dep_ok
-                )
+                self._run_pool(todo, results, aux, failures, job_ctx)
 
         # Absorb instrumentation in submission order, so a fanned-out
         # (or resumed) sweep traces exactly like runs arriving one by
@@ -426,13 +387,12 @@ class Scheduler:
             if registry is not None and metrics is not None:
                 registry.absorb(metrics)
 
-        self._notify()
         if failures:
             raise failures[0]
         return [results[job_id] for job_id in ids]
 
     # -- inline (serial / degraded) path ----------------------------------
-    def _run_inline(self, todo, results, aux, failures, job_ctx, dep_ok,
+    def _run_inline(self, todo, results, aux, failures, job_ctx,
                     degraded: bool) -> None:
         """Run *todo* in the parent, checkpointing each completion.
 
@@ -443,22 +403,8 @@ class Scheduler:
         """
         if degraded:
             self.stats.serial_fallback = True
-        pending = deque(todo)
-        deferred = 0
-        while pending:
-            spec = pending.popleft()
-            if any(d not in results and d not in dep_ok
-                   for d in spec.deps):
-                pending.append(spec)
-                deferred += 1
-                if deferred > len(pending):
-                    raise ConfigurationError(
-                        "dependency cycle among jobs: "
-                        + ", ".join(s.label for s in pending)
-                    )
-                continue
-            deferred = 0
-            if failures and self.fail_fast:
+        for spec in todo:
+            if failures:
                 return
             t0 = time.monotonic()
             try:
@@ -472,7 +418,6 @@ class Scheduler:
                 failures.append(
                     self._failure(spec, "raised", text, cause=exc)
                 )
-                self._notify()
                 continue
             elapsed = time.monotonic() - t0
             results[spec.job_id] = result
@@ -480,7 +425,6 @@ class Scheduler:
             self.stats.done += 1
             self._count("done")
             self._checkpoint(spec, 0, result, events, metrics, elapsed)
-            self._notify()
 
     # -- pool path ---------------------------------------------------------
     def _spawn(self, mp_ctx, job_ctx: RunContext) -> _Shard:
@@ -494,8 +438,7 @@ class Scheduler:
         child_conn.close()
         return _Shard(proc, parent_conn)
 
-    def _run_pool(self, todo, results, aux, failures, job_ctx,
-                  dep_ok) -> None:
+    def _run_pool(self, todo, results, aux, failures, job_ctx) -> None:
         import multiprocessing as mp
         from multiprocessing.connection import wait as conn_wait
 
@@ -553,13 +496,12 @@ class Scheduler:
                 if (
                     outstanding > len(shards)
                     and respawns < self.max_respawns
-                    and not (failures and self.fail_fast)
+                    and not failures
                 ):
                     respawns += 1
                     self.stats.respawns += 1
                     self._count("respawns")
                     shards.append(self._spawn(mp_ctx, job_ctx))
-                self._notify()
 
             def finish(shard: _Shard, msg) -> None:
                 kind = msg[0]
@@ -581,22 +523,18 @@ class Scheduler:
                     )
                 else:
                     _, job_id, text, tb, exc_bytes = msg
-                    if self.retry_errors:
-                        requeue(spec, attempt + 1, text)
-                    else:
-                        cause = None
-                        if exc_bytes is not None:
-                            try:
-                                cause = pickle.loads(exc_bytes)
-                            except Exception:
-                                cause = None
-                        self.stats.failed += 1
-                        self._journal_failure(spec, text)
-                        failures.append(self._failure(
-                            spec, "raised in its worker", tb or text,
-                            cause=cause,
-                        ))
-                self._notify()
+                    cause = None
+                    if exc_bytes is not None:
+                        try:
+                            cause = pickle.loads(exc_bytes)
+                        except Exception:
+                            cause = None
+                    self.stats.failed += 1
+                    self._journal_failure(spec, text)
+                    failures.append(self._failure(
+                        spec, "raised in its worker", tb or text,
+                        cause=cause,
+                    ))
 
             while True:
                 now = time.monotonic()
@@ -605,18 +543,12 @@ class Scheduler:
                 gauge = self._m.get("queue_depth")
                 if gauge is not None:
                     gauge.set(len(queue) + len(busy))
-                # Dispatch every ready job onto an idle shard; jobs
-                # whose deps are still running are skipped this round
-                # (a completion wakes the loop again).
-                stop_dispatch = failures and self.fail_fast
-                blocked: List[_Pending] = []
-                while (queue and idle and not stop_dispatch
-                       and queue[0].ready_at <= now):
+                # Dispatch every ready job onto an idle shard; after a
+                # failure nothing new starts.
+                if failures:
+                    queue = []
+                while queue and idle and queue[0].ready_at <= now:
                     item = heapq.heappop(queue)
-                    if any(d not in results and d not in dep_ok
-                           for d in item.spec.deps):
-                        blocked.append(item)
-                        continue
                     shard = idle.pop()
                     shard.spec = item.spec
                     shard.attempt = item.attempt
@@ -636,24 +568,11 @@ class Scheduler:
                              adopted=False)
                         heapq.heappush(queue, item)
                         idle = [s for s in shards if s.spec is None]
-                for item in blocked:
-                    heapq.heappush(queue, item)
-                if stop_dispatch:
-                    queue = []
                 if not busy and not queue:
                     break
-                if not busy and queue and all(
-                    any(d not in results and d not in dep_ok
-                        for d in p.spec.deps)
-                    for p in queue
-                ):
-                    raise ConfigurationError(
-                        "dependency cycle among jobs: "
-                        + ", ".join(p.spec.label for p in queue)
-                    )
                 if not shards:
                     # Pool exhausted; degrade to inline execution of
-                    # whatever is left (deps honoured there too).
+                    # whatever is left.
                     remaining = [
                         p.spec for p in sorted(queue)
                         if p.spec.job_id not in results
@@ -661,7 +580,7 @@ class Scheduler:
                     queue = []
                     self._run_inline(
                         remaining, results, aux, failures, job_ctx,
-                        dep_ok, degraded=True,
+                        degraded=True,
                     )
                     break
                 if not busy:

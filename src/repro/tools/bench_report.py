@@ -33,8 +33,7 @@ import pathlib
 import sys
 from typing import Dict, List, Optional
 
-__all__ = ["main", "collect", "partial_records", "render_markdown",
-           "run_gates"]
+__all__ = ["main", "collect", "render_markdown", "run_gates"]
 
 DEFAULT_RESULTS = pathlib.Path("benchmarks") / "results"
 
@@ -138,44 +137,6 @@ def render_markdown(records: List[dict], changed_only: bool = False) -> str:
     return "\n".join(lines)
 
 
-def partial_records(state_dir: str) -> List[dict]:
-    """An in-progress sweep journal as benchmark-shaped records.
-
-    Bridges ``repro.tools.serve`` state dirs into this tool: each
-    sweep cell becomes one record whose metrics are its
-    done/pending/retried/adopted/failed counts and elapsed seconds, so
-    the
-    existing :func:`render_markdown` renders a progress table for a
-    run that is still going (or died and awaits resume).
-    """
-    from repro.service.journal import summarize
-
-    summary = summarize(state_dir)
-    records: List[dict] = []
-    for label in sorted(summary["labels"]):
-        c = summary["labels"][label]
-        records.append({
-            "name": label,
-            "metrics": [
-                {"metric": key, "current": float(c[key]),
-                 "previous": None, "ratio": None}
-                for key in ("planned", "done", "pending", "retried",
-                            "adopted", "failed", "elapsed")
-            ],
-        })
-    t = summary["totals"]
-    records.append({
-        "name": "(total)",
-        "metrics": [
-            {"metric": key, "current": float(t[key]),
-             "previous": None, "ratio": None}
-            for key in ("planned", "done", "pending", "retried",
-                        "adopted", "failed", "journal_bytes")
-        ],
-    })
-    return records
-
-
 def _bench_metrics(results_dir: pathlib.Path, bench: str) -> Dict[str, float]:
     path = results_dir / f"BENCH_{bench}.json"
     payload = json.loads(path.read_text())
@@ -268,28 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of committed BENCH_*.json files gates compare "
         "against (required with --gate)",
     )
-    parser.add_argument(
-        "--partial", metavar="STATE_DIR", default=None,
-        help="render the progress of an in-flight (or interrupted) "
-        "resumable sweep from its journal instead of finished "
-        "results: per-cell done/pending/retried/adopted/failed counts "
-        "from "
-        "STATE_DIR/journal.jsonl (see repro.tools.serve)",
-    )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.partial:
-        records = partial_records(args.partial)
-        print(render_markdown(records))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump({"state_dir": args.partial,
-                           "cells": records}, fh, indent=2)
-            print(f"\n[json -> {args.json}]")
-        return 0
     results_dir = pathlib.Path(args.results)
     if not results_dir.is_dir():
         print(f"results directory not found: {results_dir}",

@@ -5,6 +5,8 @@ Usage::
     python -m repro.tools.experiment fig1 --scale small --seed 0
     python -m repro.tools.experiment table1 --scale paper
     python -m repro.tools.experiment all --scale smoke --fail-fast
+    python -m repro.tools.experiment fig1 --scale paper --jobs 4 \
+        --journal sweep_state --out results.json
 
 Exit status is nonzero when any cell fails: a raised error in a sweep
 cell (reported with the cell's label and ``sample_seed`` so it can be
@@ -13,21 +15,30 @@ a result whose ``failure_report()`` names cells that absorbed a
 ``TransportError``-aborted partial output.  ``--fail-fast`` stops at
 the first failing artifact instead of rendering the rest.
 
-``--journal DIR`` checkpoints every completed cell to an append-only
-journal; rerunning the same command resumes from it (see DESIGN.md
-§14 and ``python -m repro.tools.serve`` for the daemon form).
+``--journal DIR`` (or ``REPRO_JOURNAL``) checkpoints every completed
+cell to ``DIR/journal.jsonl``; kill the run at any point, SIGKILL
+included, and rerunning the same command resumes from it
+bit-identically (DESIGN.md §14).  ``DIR/manifest.json`` pins the
+scale and seed: a resume that asks for different ones is rejected.
+``python -m repro.tools.serve status --state-dir DIR`` renders the
+journal's progress, also while the run is live.  ``--out PATH``
+writes every artifact's machine-readable result as JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.experiment import Scale
 
-__all__ = ["main", "ARTIFACTS", "artifact_failures"]
+__all__ = ["main", "ARTIFACTS", "artifact_failures", "read_manifest"]
+
+MANIFEST_NAME = "manifest.json"
 
 
 def _fig1(scale, seed):
@@ -113,6 +124,63 @@ def artifact_failures(result) -> list:
     return [str(x) for x in report()]
 
 
+def _write_json_atomic(path: str, payload: dict) -> None:
+    """Write *payload* so readers never observe a half-written file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def read_manifest(state_dir: str) -> Optional[dict]:
+    """The journal dir's ``manifest.json``, or None if absent/unreadable."""
+    try:
+        with open(os.path.join(state_dir, MANIFEST_NAME), "r",
+                  encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
+        return None
+
+
+def _check_manifest(state_dir: str, names: List[str], scale: str,
+                    seed: int) -> None:
+    """Create or validate ``manifest.json`` for a (re)run.
+
+    Job ids hash the cell's spec and seed, so resuming with a
+    different scale or seed would not *corrupt* anything — it would
+    silently recompute everything while looking like a resume.  That
+    is always a mistake, so mismatches are rejected with a pointer at
+    a fresh journal dir.
+    """
+    os.makedirs(state_dir, exist_ok=True)
+    path = os.path.join(state_dir, MANIFEST_NAME)
+    manifest = read_manifest(state_dir)
+    if manifest is None:
+        _write_json_atomic(path, {
+            "artifacts": names,
+            "scale": scale,
+            "seed": seed,
+            "created_unix": time.time(),
+        })
+        return
+    for key, value in (("scale", scale), ("seed", seed)):
+        if manifest.get(key) != value:
+            raise SystemExit(
+                f"error: journal dir {state_dir!r} was created with "
+                f"{key}={manifest.get(key)!r} but this run asks for "
+                f"{value!r}; resuming would recompute every cell. "
+                "Use a fresh --journal dir (or delete this one)."
+            )
+    if sorted(manifest.get("artifacts", [])) != sorted(names):
+        # Differing artifact lists are fine (ids are per-cell); keep
+        # the manifest's list current for `serve status`.
+        manifest["artifacts"] = sorted(
+            set(manifest.get("artifacts", [])) | set(names)
+        )
+        _write_json_atomic(path, manifest)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.tools.experiment",
@@ -145,7 +213,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", metavar="DIR", default=None,
         help="checkpoint every completed sweep cell to DIR (append-only "
         "JSON-lines journal; rerunning the same command resumes from "
-        "it, bit-identically.  Equivalent to setting REPRO_JOURNAL)",
+        "it, bit-identically, and a resume with another --scale or "
+        "--seed is rejected.  Equivalent to setting REPRO_JOURNAL; "
+        "inspect progress with python -m repro.tools.serve status "
+        "--state-dir DIR)",
+    )
+    parser.add_argument(
+        "--out", metavar="PATH", default=None,
+        help="write every artifact's machine-readable result (its "
+        "to_dict()), wall time and failures to PATH as JSON",
     )
     parser.add_argument(
         "--fail-fast", action="store_true",
@@ -192,6 +268,7 @@ def main(argv=None) -> int:
     names = sorted(ARTIFACTS) if args.artifact == "all" else [args.artifact]
 
     failures = []
+    results: Dict[str, dict] = {}
 
     def run_all() -> None:
         for name in names:
@@ -200,6 +277,7 @@ def main(argv=None) -> int:
                 result = ARTIFACTS[name](Scale.parse(args.scale), args.seed)
             except Exception as exc:
                 failures.append(f"{name}: {exc}")
+                results[name] = {"ok": False, "error": str(exc)}
                 print(f"[{name} @ {args.scale}, seed {args.seed}: "
                       f"FAILED]\n{exc}\n", file=sys.stderr)
                 if args.fail_fast:
@@ -210,6 +288,14 @@ def main(argv=None) -> int:
             print(f"\n[{name} @ {args.scale}, seed {args.seed}: "
                   f"{elapsed:.1f}s wall]\n")
             degraded = artifact_failures(result)
+            if args.out:
+                to_dict = getattr(result, "to_dict", None)
+                results[name] = {
+                    "ok": not degraded,
+                    "elapsed": round(elapsed, 3),
+                    "degraded_cells": degraded,
+                    "data": to_dict() if callable(to_dict) else None,
+                }
             if degraded:
                 failures.extend(f"{name}: {d}" for d in degraded)
                 print(
@@ -226,7 +312,9 @@ def main(argv=None) -> int:
     from repro.context import using
 
     with ExitStack() as stack:
-        stack.enter_context(using(**changes))
+        journal_dir = stack.enter_context(using(**changes)).journal_dir
+        if journal_dir is not None:
+            _check_manifest(journal_dir, names, args.scale, args.seed)
         tracer = None
         registry = None
         if args.trace:
@@ -243,6 +331,15 @@ def main(argv=None) -> int:
     if registry is not None:
         print(f"[metrics: {len(registry)} instruments over "
               f"{registry.n_runs} run(s) -> {args.metrics}]")
+    if args.out:
+        _write_json_atomic(args.out, {
+            "scale": args.scale,
+            "seed": args.seed,
+            "state_dir": journal_dir,
+            "artifacts": results,
+            "failures": failures,
+        })
+        print(f"[results -> {args.out}]")
     if failures:
         print(f"[{len(failures)} failure(s)]", file=sys.stderr)
         return 1

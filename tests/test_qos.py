@@ -237,7 +237,7 @@ def test_jain_index_bounds():
 # -- parallel == serial --------------------------------------------------
 
 def test_tenant_sweep_parallel_serial_bit_identical():
-    from repro.harness.experiment import run_samples
+    from repro.harness.parallel import run_samples
     from repro.harness.figures.qos import _one_cell
 
     cell = partial(

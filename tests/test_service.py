@@ -5,7 +5,7 @@ Pins the tentpole contracts of :mod:`repro.service`:
 * job ids are deterministic functions of (label, fn, seed);
 * the journal round-trips results bit-exactly, tolerates a truncated
   final line, and survives mid-file corruption with everything before
-  the damage intact;
+  the damage intact — also for checkpoints appended after the damage;
 * a worker SIGKILLed mid-job is detected, its job adopted and retried,
   and the finished sweep is bit-identical to a clean serial run;
 * hung jobs are killed at their wall-clock deadline and retried within
@@ -13,7 +13,8 @@ Pins the tentpole contracts of :mod:`repro.service`:
   sample seed, and a reproduction one-liner (:class:`JobFailure`);
 * a sweep process SIGKILLed mid-run resumes from its journal and the
   final results are bit-identical to an uninterrupted run;
-* the ``repro.tools.serve`` daemon/client CLI drives all of the above.
+* ``repro.tools.experiment --journal`` drives all of the above, and
+  ``repro.tools.serve status`` renders the journal's progress.
 """
 
 import json
@@ -191,6 +192,75 @@ class TestJournal:
             records, discarded = replay(path)
         assert [r["job"] for r in records] == ["a"]
         assert discarded == 2
+
+    @staticmethod
+    def _done(job: str) -> dict:
+        return {"kind": "done", "job": job, "label": f"cell#{job}",
+                "result": {"json": job}}
+
+    def _reopen_and_append(self, path: str, jobs) -> Journal:
+        j = Journal(path)
+        for job in jobs:
+            j.append(self._done(job))
+            j.close()  # the next append reopens; no second repair
+        return Journal(path)
+
+    def test_append_after_torn_tail_keeps_later_checkpoints(self, tmp_path):
+        path = str(tmp_path / JOURNAL_NAME)
+        j = Journal(path)
+        for job in ("a0", "a1", "a2"):
+            j.append(self._done(job))
+        j.close()
+        with open(path, "a") as fh:
+            fh.write('{"kind": "done", "job": "a3", "resu')  # crash here
+        fresh = self._reopen_and_append(path, ("a3", "a4", "a5"))
+        assert sorted(fresh.done) == ["a0", "a1", "a2", "a3", "a4", "a5"]
+        assert fresh.discarded_lines == 0
+
+    def test_append_after_mid_file_corruption_keeps_later_checkpoints(
+        self, tmp_path
+    ):
+        path = str(tmp_path / JOURNAL_NAME)
+        j = Journal(path)
+        j.append(self._done("a"))
+        j.close()
+        with open(path, "a") as fh:
+            fh.write("NOT JSON\n")
+            fh.write(json.dumps(self._done("b")) + "\n")
+        with pytest.warns(RuntimeWarning, match="corrupt record"):
+            j = Journal(path)
+        j.append(self._done("c"))
+        j.close()
+        fresh = Journal(path)
+        # "b" sat behind the damage, so it was never trusted; "c" was
+        # appended after it and must survive.
+        assert sorted(fresh.done) == ["a", "c"]
+        assert fresh.discarded_lines == 0
+
+    def test_append_after_final_line_without_newline(self, tmp_path):
+        path = str(tmp_path / JOURNAL_NAME)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(self._done("a")) + "\n")
+            fh.write(json.dumps(self._done("b")))  # no newline
+        fresh = self._reopen_and_append(path, ("c", "d"))
+        assert sorted(fresh.done) == ["a", "b", "c", "d"]
+        assert fresh.discarded_lines == 0
+
+    def test_reading_never_modifies_the_file(self, tmp_path):
+        path = str(tmp_path / JOURNAL_NAME)
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"kind": "plan", "label": "cell",
+                                 "jobs": 2}) + "\n")
+            fh.write(json.dumps(self._done("a")) + "\n")
+            fh.write('{"kind": "done", "job": "b", "resu')
+        with open(path, "rb") as fh:
+            before = fh.read()
+        summary = summarize(str(tmp_path))
+        assert summary["totals"]["done"] == 1
+        assert summary["totals"]["discarded_lines"] == 1
+        Journal(path).close()  # opened, never appended to
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
     def test_summarize_counts(self, tmp_path):
         j = Journal(str(tmp_path / JOURNAL_NAME))
@@ -407,65 +477,58 @@ class TestCrashResume:
         assert len({r["job"] for r in records}) == 6
 
 
-class TestServeCli:
+class TestSweepCli:
+    """``experiment --journal/--out`` and the ``serve status`` client."""
+
     def _run(self, argv):
-        from repro.tools.serve import main
+        from repro.tools.experiment import main
 
         return main(argv)
 
     def test_run_status_and_resume(self, tmp_path, capsys):
         state = str(tmp_path / "state")
         out = str(tmp_path / "results.json")
-        rc = self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-            "--out", out,
-        ])
-        assert rc == 0
+        argv = ["fig1", "--scale", "smoke", "--journal", state]
+        assert self._run(argv + ["--out", out]) == 0
         with open(out) as fh:
             results = json.load(fh)
+        assert results["state_dir"] == state
         assert results["artifacts"]["fig1"]["ok"]
         assert results["artifacts"]["fig1"]["data"]
-        with open(os.path.join(state, "status.json")) as fh:
-            assert json.load(fh)["state"] == "done"
+        assert sorted(os.listdir(state)) == [JOURNAL_NAME, "manifest.json"]
 
-        assert self._run(["status", "--state-dir", state]) == 0
+        from repro.tools.serve import main as serve_main
+
+        capsys.readouterr()
+        assert serve_main(["status", "--state-dir", state]) == 0
         text = capsys.readouterr().out
+        assert "sweep: fig1 @ smoke, seed 0" in text
         assert "fig1[" in text and "pending" in text
+        assert "daemon" not in text
 
-        # Re-running the same command resumes: identical output data.
+        # Re-running the same command resumes: identical output data,
+        # and no job is checkpointed twice.
         out2 = str(tmp_path / "results2.json")
-        assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-            "--out", out2,
-        ]) == 0
+        assert self._run(argv + ["--out", out2]) == 0
         with open(out2) as fh:
             again = json.load(fh)
         assert again["artifacts"]["fig1"]["data"] == \
             results["artifacts"]["fig1"]["data"]
+        records, discarded = replay(os.path.join(state, JOURNAL_NAME))
+        done = [r["job"] for r in records if r["kind"] == "done"]
+        assert discarded == 0
+        assert done and len(done) == len(set(done))
 
     def test_manifest_rejects_parameter_drift(self, tmp_path):
         state = str(tmp_path / "state")
-        assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-        ]) == 0
+        argv = ["fig1", "--scale", "smoke", "--journal", state]
+        assert self._run(argv) == 0
         with pytest.raises(SystemExit, match="seed"):
-            self._run([
-                "run", "fig1", "--state-dir", state, "--scale", "smoke",
-                "--seed", "1",
-            ])
-
-    def test_bench_report_partial(self, tmp_path, capsys):
-        from repro.tools.bench_report import main as bench_main
-
-        state = str(tmp_path / "state")
-        assert self._run([
-            "run", "fig1", "--state-dir", state, "--scale", "smoke",
-        ]) == 0
-        capsys.readouterr()
-        assert bench_main(["--partial", state]) == 0
-        text = capsys.readouterr().out
-        assert "| fig1[" in text
-        assert "| (total) | done |" in text
+            self._run(argv + ["--seed", "1"])
+        # The environment spelling of the journal dir is checked too.
+        os.environ["REPRO_JOURNAL"] = state
+        with pytest.raises(SystemExit, match="seed"):
+            self._run(["fig1", "--scale", "smoke", "--seed", "1"])
 
 
 class TestRunSamplesJournalEnv:
